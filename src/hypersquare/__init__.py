@@ -8,6 +8,7 @@ from .absorber import (
     AbsorptionError,
     PathConstructionError,
     absorb,
+    absorbable_mask,
     build_absorber_family,
     build_absorbing_path,
     enumerate_v_absorbers,

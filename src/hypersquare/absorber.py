@@ -7,6 +7,13 @@ is greedy, lowest-coverage vertex first, instead of the asymptotic random
 selection: at desk scale the random density would leave the family empty,
 and only the end properties (disjointness, per-vertex coverage, squared
 subpaths, reservoir avoidance) matter downstream.
+
+Once abcdef is a squared path, the windows of abcvdef ask exactly that v lie
+in nine pair neighborhoods, those of ab, ac, bc, bd, cd, ce, de, df and ef.
+So a tuple's absorbable set, every vertex off the tuple that it absorbs, is
+nine ANDs of pair masks (``absorbable_mask``).  The family keeps one such
+mask per tuple and reads coverage, the per-vertex index and the degraded flag
+off them.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ import dataclasses
 import math
 import random
 
-from .certify import VertexSeq, is_squared_path, is_v_absorber
+from .certify import VertexSeq, is_squared_path
 from .connector import DEFAULT_BUDGET, Reservoir, connect
-from .core import Config, Hypergraph3, derive_seed, mask_of
+from .core import Config, Hypergraph3, bits_of, derive_seed, mask_of
 
 
 class PathConstructionError(RuntimeError):
@@ -90,15 +97,54 @@ def enumerate_v_absorbers(
     return out
 
 
+def absorbable_mask(h: Hypergraph3, t) -> int:
+    """Bitset of the vertices v that the squared path t = (a, b, c, d, e, f)
+    absorbs, i.e. those off t with abcvdef a squared path too.
+
+    Assumes t is a squared path, as every tuple enumerate_v_absorbers emits
+    is; certify.is_v_absorber is the definition this agrees with."""
+    a, b, c, d, e, f = t
+    pn = h._pn
+    return (
+        pn[a][b] & pn[a][c] & pn[b][c] & pn[b][d] & pn[c][d]
+        & pn[c][e] & pn[d][e] & pn[d][f] & pn[e][f] & ~mask_of(t)
+    )
+
+
 @dataclasses.dataclass
 class AbsorberFamily:
-    """Vertex-disjoint absorber tuples plus, per vertex, the indices of the
-    tuples that absorb it."""
+    """Vertex-disjoint absorber tuples, each tuple's absorbable mask, and,
+    per vertex, the indices of the tuples that absorb it."""
 
     tuples: list[tuple[int, ...]]
     per_vertex_index: dict[int, tuple[int, ...]]
     coverage_target: int
     degraded: bool
+    absorbable: list[int]
+
+    @classmethod
+    def from_masks(
+        cls, n: int, tuples: list[tuple[int, ...]], absorbable: list[int], target: int
+    ) -> "AbsorberFamily":
+        """Family of ``tuples`` with their absorbable masks; the index and
+        the degraded flag (some vertex absorbed by fewer than ``target``
+        tuples) are derived from the masks."""
+        per_vertex: dict[int, list[int]] = {}
+        for i, m in enumerate(absorbable):
+            for v in bits_of(m):
+                per_vertex.setdefault(v, []).append(i)
+        index = {v: tuple(per_vertex[v]) for v in sorted(per_vertex)}
+        degraded = len(index) < n or any(len(ix) < target for ix in index.values())
+        return cls(list(tuples), index, target, degraded, list(absorbable))
+
+    def truncated(self, k: int, n: int) -> "AbsorberFamily":
+        """The family of the first k tuples on an n-vertex hypergraph.  It
+        equals build_absorber_family(..., min_tuples=k, max_tuples=k) for any
+        k up to len(tuples) of a build with the same hypergraph, reservoir
+        and config: each pick depends only on the tuples chosen before it."""
+        return AbsorberFamily.from_masks(
+            n, self.tuples[:k], self.absorbable[:k], self.coverage_target
+        )
 
     @property
     def vertex_mask(self) -> int:
@@ -132,6 +178,7 @@ def build_absorber_family(
     target = max(1, math.ceil(2 * cfg.theta_star**2 * n))
     goal = min_tuples if min_tuples is not None else 0
     selected: list[tuple[int, ...]] = []
+    absorbable: list[int] = []
     occupied = r.members
     coverage = [0] * n
     blocked: set[int] = set()
@@ -162,19 +209,13 @@ def build_absorber_family(
             continue
         t = cand[0]
         selected.append(t)
+        absorbable.append(absorbable_mask(h, t))
         occupied |= mask_of(t)
         blocked.clear()
-        for u in range(n):
-            if is_v_absorber(h, u, t):
-                coverage[u] += 1
+        for u in bits_of(absorbable[-1]):
+            coverage[u] += 1
 
-    per_vertex: dict[int, tuple[int, ...]] = {}
-    for v in range(n):
-        idx = tuple(i for i, t in enumerate(selected) if is_v_absorber(h, v, t))
-        if idx:
-            per_vertex[v] = idx
-    degraded = any(coverage[v] < target for v in range(n))
-    return AbsorberFamily(selected, per_vertex, target, degraded)
+    return AbsorberFamily.from_masks(n, selected, absorbable, target)
 
 
 def build_absorbing_path(

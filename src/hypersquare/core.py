@@ -5,13 +5,17 @@ Vertices are dense integers 0..n-1 throughout the package.  Vertex sets are
 manipulated as Python integers used as bitsets, so that the hot operation of
 every search, intersecting pair neighborhoods, is a handful of bitwise ANDs.
 Edges are additionally kept as a frozenset of sorted triples for constant
-time membership tests.
+time membership tests.  Generators that produce the pair masks directly hand
+them to ``Hypergraph3.from_pair_masks``, which validates them and derives the
+edge set.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import operator
 
 
 class ParseError(ValueError):
@@ -42,6 +46,21 @@ def mask_of(vertices) -> int:
     return m
 
 
+def transpose_bits(rows: list[int], n: int) -> list[int]:
+    """Transpose an n x n bit matrix: bit i of the result's row j is bit j of
+    ``rows[i]``.  Needs ``len(rows) == n`` and every row below ``1 << n``.
+
+    Each row is written as an n-digit binary string; row j of the transpose
+    is then every n-th digit of their concatenation, so the work per row is
+    one C-level slice and one parse.
+    """
+    if not n:
+        return []
+    fmt = f"0{n}b"
+    digits = "".join([format(r, fmt) for r in reversed(rows)])
+    return [int(digits[j::n], 2) for j in range(n - 1, -1, -1)]
+
+
 def derive_seed(master: int, *tags) -> int:
     """Derive a stable 63-bit sub-seed from a master seed and hashable tags.
 
@@ -56,8 +75,10 @@ class Hypergraph3:
     """Immutable 3-uniform hypergraph on vertices 0..n-1.
 
     ``edges`` is a frozenset of sorted vertex triples.  ``pair_neighbors(u, v)``
-    returns the bitset N(u, v) = {w : uvw is an edge}.  Instances are safe to
-    share across threads; nothing here mutates after construction.
+    returns the bitset N(u, v) = {w : uvw is an edge}.  Build one from an edge
+    list with ``Hypergraph3(n, edges)``, or from the n x n matrix of those
+    bitsets with ``Hypergraph3.from_pair_masks(n, pn)``.  Instances are safe
+    to share across threads; nothing here mutates after construction.
     """
 
     __slots__ = ("n", "edges", "full_mask", "_pn")
@@ -85,6 +106,52 @@ class Hypergraph3:
             pn[b][c] |= 1 << a
             pn[c][b] |= 1 << a
         self._pn = pn
+
+    @classmethod
+    def from_pair_masks(cls, n: int, pn) -> "Hypergraph3":
+        """Hypergraph whose pair neighborhoods are ``pn[u][v]`` = N(u, v).
+
+        Raises ValueError unless pn is an n x n matrix of bitsets below
+        ``1 << n`` with no self bits (N(u, u) empty, u and v outside N(u, v)),
+        symmetric (N(u, v) == N(v, u)) and triple-consistent
+        (w in N(u, v) iff v in N(u, w)); those are exactly the matrices some
+        edge set produces.  The edges are read off the upper rows.
+        """
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        rows = [list(row) for row in pn]
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError(f"pair masks must form a {n} x {n} matrix")
+        for u, row in enumerate(rows):
+            union = functools.reduce(operator.or_, row, 0)
+            if union < 0 or union >> n:
+                raise ValueError(f"some N({u}, v) has a bit outside [0, {n})")
+            if row[u]:
+                raise ValueError(f"N({u}, {u}) must be empty")
+            # with symmetry this also keeps v out of N(u, v) = N(v, u)
+            if (union >> u) & 1:
+                raise ValueError(f"some N({u}, v) contains {u}")
+            if row != [rows[v][u] for v in range(n)]:
+                raise ValueError(f"some N({u}, v) differs from N(v, {u})")
+            # with symmetry, triple consistency says the link matrix of u,
+            # rows[u], is a symmetric bit matrix
+            if row != transpose_bits(row, n):
+                raise ValueError(f"pair masks not triple-consistent at vertex {u}")
+        self = object.__new__(cls)
+        self.n = n
+        # copied from a set: a frozenset grown straight from a generator can
+        # end up with a hash table twice the size
+        self.edges = frozenset(
+            {
+                (u, v, w)
+                for u in range(n)
+                for v in range(u + 1, n)
+                for w in bits_of(rows[u][v] >> (v + 1) << (v + 1))
+            }
+        )
+        self.full_mask = (1 << n) - 1
+        self._pn = rows
+        return self
 
     @property
     def num_edges(self) -> int:

@@ -60,6 +60,30 @@ def pikhurko(n: int) -> tuple[Hypergraph3, PikhurkoPartition]:
     return Hypergraph3(n, edges), PikhurkoPartition(parts)
 
 
+def _random_pair_masks(n: int, p: float, rng) -> list[list[int]]:
+    """Pair masks of the random 3-graph keeping each triple a < b < c with
+    probability p, one ``rng.random()`` draw per triple in lexicographic
+    order."""
+    rand = rng.random
+    pn = [[0] * n for _ in range(n)]
+    # fill the upper triangle N(u, v), u < v, then mirror it
+    for a in range(n):
+        row_a, bit_a = pn[a], 1 << a
+        for b in range(a + 1, n - 1):
+            row_b, bit_b = pn[b], 1 << b
+            kept = 0
+            for c in range(b + 1, n):
+                if rand() < p:
+                    kept |= 1 << c
+                    row_a[c] |= bit_b
+                    row_b[c] |= bit_a
+            row_a[b] |= kept
+    for a in range(n):
+        for c in range(a + 1, n):
+            pn[c][a] = pn[a][c]
+    return pn
+
+
 def random_hypergraph(n: int, p: float, seed: int) -> Hypergraph3:
     """Each triple included independently with probability p; identical
     (n, p, seed) reproduce identical edge sets."""
@@ -67,39 +91,26 @@ def random_hypergraph(n: int, p: float, seed: int) -> Hypergraph3:
         raise ValueError(f"probability p={p} must lie in [0, 1]")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    rng = random.Random(seed)
-    edges = [e for e in itertools.combinations(range(n), 3) if rng.random() < p]
-    return Hypergraph3(n, edges)
+    return Hypergraph3.from_pair_masks(n, _random_pair_masks(n, p, random.Random(seed)))
 
 
 def _repair_to_pair_degree(n: int, required: int, base_p: float, rng) -> Hypergraph3:
     """Random base of density base_p, then add missing triples through
     deficient pairs until every pair degree reaches ``required``.  Additions
-    only increase degrees, so one lexicographic sweep suffices."""
-    edges = set(
-        e for e in itertools.combinations(range(n), 3) if rng.random() < base_p
-    )
-    deg = [[0] * n for _ in range(n)]
-    comp = [[0] * n for _ in range(n)]
-    for a, b, c in edges:
-        for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
-            deg[u][v] += 1
-            deg[v][u] += 1
-            comp[u][v] |= 1 << w
-            comp[v][u] |= 1 << w
+    only increase degrees, so one lexicographic sweep suffices.  Everything
+    lives in the pair masks: a pair's degree is its mask's popcount."""
+    pn = _random_pair_masks(n, base_p, rng)
     full = (1 << n) - 1
     for u in range(n):
+        row = pn[u]
         for v in range(u + 1, n):
-            while deg[u][v] < required:
-                missing = full & ~comp[u][v] & ~(1 << u) & ~(1 << v)
+            while row[v].bit_count() < required:
+                missing = full & ~row[v] & ~(1 << u) & ~(1 << v)
                 w = rng.choice(list(bits_of(missing)))
-                edges.add(tuple(sorted((u, v, w))))
                 for x, y, z in ((u, v, w), (u, w, v), (v, w, u)):
-                    deg[x][y] += 1
-                    deg[y][x] += 1
-                    comp[x][y] |= 1 << z
-                    comp[y][x] |= 1 << z
-    return Hypergraph3(n, edges)
+                    pn[x][y] |= 1 << z
+                    pn[y][x] |= 1 << z
+    return Hypergraph3.from_pair_masks(n, pn)
 
 
 def dense_random(n: int, delta2_target: float, seed: int) -> Hypergraph3:

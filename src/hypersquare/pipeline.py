@@ -65,26 +65,23 @@ def _attempt_construction(h: Hypergraph3, cfg: Config, stats: dict) -> VertexSeq
     # absorption, far more than the asymptotic 2 theta^2 n at these sizes.
     # A family that large can starve the joins of interior vertices on
     # incomplete instances, so smaller families are tried after a join
-    # failure before the whole attempt is abandoned.
+    # failure before the whole attempt is abandoned.  The family of k tuples
+    # is the first k tuples of the largest one, so it is built once.
     t0 = time.perf_counter()
     size = max(1, (n - reservoir.member_count) // 6)
-    fam = None
-    pa = None
+    largest = build_absorber_family(h, reservoir, cfg, min_tuples=size, max_tuples=size)
+    if not largest.tuples:
+        raise _StageFailure("absorber_family", "no absorber tuples found")
     join_error = None
-    while size >= 1:
-        fam = build_absorber_family(
-            h, reservoir, cfg, min_tuples=size, max_tuples=size
-        )
-        if not fam.tuples:
-            raise _StageFailure("absorber_family", "no absorber tuples found")
-        size = min(size, len(fam.tuples))  # greedy may stall below the target
+    # the greedy may stall below the target size
+    for size in range(len(largest.tuples), 0, -1):
+        fam = largest.truncated(size, n)
         try:
             pa = absorber_mod.build_absorbing_path(h, fam, reservoir, cfg)
             break
         except PathConstructionError as exc:
             join_error = exc
-            size -= 1
-    if pa is None:
+    else:
         raise _StageFailure("absorbing_path", str(join_error)) from join_error
     timings["absorber_family"] = time.perf_counter() - t0
     stats["family_size"] = len(fam.tuples)
@@ -307,9 +304,15 @@ def oracle_has_squared_hamiltonian(
             return False
 
         base = 1 | (1 << v1) | (1 << v2)
-        if rec(base, 0, v1, v2, 3):
-            return (0, v1, v2) + tuple(order)
-        return None
+        try:
+            if rec(base, 0, v1, v2, 3):
+                return (0, v1, v2) + tuple(order)
+            return None
+        finally:
+            # rec refers to itself, so without this the memo would outlive
+            # the search in a reference cycle until the cyclic GC ran
+            failed.clear()
+            del rec
 
     try:
         for v1 in range(1, n):
@@ -368,6 +371,10 @@ def oracle_has_perfect_k4_tiling(
             return OracleResult("yes", [tuple(sorted(t)) for t in chosen])
     except _Timeout:
         return OracleResult("timeout")
+    finally:
+        # break the rec -> rec reference cycle that would keep the memo alive
+        failed.clear()
+        del rec
     return OracleResult("no")
 
 

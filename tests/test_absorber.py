@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersquare import (
     AbsorptionError,
@@ -6,6 +8,7 @@ from hypersquare import (
     Hypergraph3,
     PathConstructionError,
     absorb,
+    absorbable_mask,
     build_absorber_family,
     build_absorbing_path,
     complete,
@@ -108,6 +111,54 @@ class TestFamily:
             for i, t in enumerate(fam.tuples):
                 expected = is_v_absorber(h, v, t)
                 assert (i in fam.per_vertex_index.get(v, ())) == expected
+
+
+class TestAbsorbableMask:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(6, 12),
+        st.floats(0.5, 1.0),
+        st.integers(0, 10**6),
+        st.integers(0, 11),
+    )
+    def test_matches_is_v_absorber(self, n, p, seed, v):
+        h = random_hypergraph(n, p, seed)
+        v %= n
+        for t in enumerate_v_absorbers(h, v, limit=12, seed=seed):
+            expected = mask_of(u for u in range(n) if is_v_absorber(h, u, t))
+            assert absorbable_mask(h, t) == expected
+            assert (absorbable_mask(h, t) >> v) & 1
+
+    def test_family_masks_match_tuples(self):
+        h = random_hypergraph(30, 0.95, seed=5)
+        cfg = Config(seed=3)
+        fam = build_absorber_family(h, Reservoir(members=0), cfg, min_tuples=4)
+        assert fam.absorbable == [absorbable_mask(h, t) for t in fam.tuples]
+
+
+class TestTruncatedFamily:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(18, 36),
+        st.floats(0.8, 1.0),
+        st.integers(0, 10**6),
+        st.sampled_from([0.15, 0.3, 0.5]),
+        st.integers(0, 10**6),
+    )
+    def test_prefix_equals_fresh_build(self, n, p, seed, theta_star, cfg_seed):
+        h = random_hypergraph(n, p, seed)
+        cfg = Config(theta_star=theta_star, seed=cfg_seed)
+        r = sample_reservoir(h, cfg)
+        size = max(1, (n - r.member_count) // 6)
+        largest = build_absorber_family(h, r, cfg, min_tuples=size, max_tuples=size)
+        assert largest.truncated(len(largest.tuples), n) == largest
+        for k in range(1, len(largest.tuples) + 1):
+            cut = largest.truncated(k, n)
+            fresh = build_absorber_family(h, r, cfg, min_tuples=k, max_tuples=k)
+            assert cut.tuples == fresh.tuples
+            assert cut.per_vertex_index == fresh.per_vertex_index
+            assert cut.degraded == fresh.degraded
+            assert cut.absorbable == fresh.absorbable
 
 
 class TestAbsorbingPath:

@@ -21,7 +21,7 @@ from hypersquare import (
     random_hypergraph,
     vertex_degree,
 )
-from hypersquare.core import bits_of, derive_seed, mask_of
+from hypersquare.core import bits_of, derive_seed, mask_of, transpose_bits
 
 
 def random_instance(n: int, p: float, seed: int) -> Hypergraph3:
@@ -67,6 +67,94 @@ class TestHypergraph3:
             for v in range(u + 1, 10)
         )
         assert total == 3 * h.num_edges
+
+
+class TestFromPairMasks:
+    def _masks(self, n, edges):
+        return [row[:] for row in Hypergraph3(n, edges)._pn]
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            complete(7),
+            pikhurko(12)[0],
+            random_hypergraph(11, 0.5, 4),
+            random_hypergraph(9, 0.0, 1),
+            Hypergraph3(0),
+            Hypergraph3(4, [(0, 1, 2)]),
+        ],
+        ids=["complete", "pikhurko", "random", "empty", "n0", "one-edge"],
+    )
+    def test_round_trip(self, h):
+        g = Hypergraph3.from_pair_masks(h.n, h._pn)
+        assert g == h
+        assert g._pn == h._pn
+        assert g.full_mask == h.full_mask
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 10**6))
+    def test_round_trip_random(self, n, p, seed):
+        h = random_hypergraph(n, p, seed)
+        assert Hypergraph3.from_pair_masks(n, h._pn) == h
+
+    def test_copies_its_input(self):
+        pn = self._masks(5, [(0, 1, 2)])
+        g = Hypergraph3.from_pair_masks(5, pn)
+        pn[0][1] = 0
+        assert g.pair_neighbors(0, 1) == 1 << 2
+
+    def test_rejects_asymmetric(self):
+        pn = self._masks(5, [(0, 1, 2)])
+        pn[1][0] = 0
+        with pytest.raises(ValueError, match="differs from"):
+            Hypergraph3.from_pair_masks(5, pn)
+
+    def test_rejects_triple_inconsistent(self):
+        # 2 in N(0, 1) = N(1, 0), but 1 not in N(0, 2) and 0 not in N(1, 2)
+        pn = [[0] * 5 for _ in range(5)]
+        pn[0][1] = pn[1][0] = 1 << 2
+        with pytest.raises(ValueError, match="triple-consistent"):
+            Hypergraph3.from_pair_masks(5, pn)
+
+    def test_rejects_self_bit(self):
+        pn = self._masks(5, [(0, 1, 2)])
+        pn[0][1] |= 1 << 1
+        pn[1][0] |= 1 << 1
+        with pytest.raises(ValueError, match="contains"):
+            Hypergraph3.from_pair_masks(5, pn)
+        pn = self._masks(5, [(0, 1, 2)])
+        pn[3][3] = 1 << 4
+        with pytest.raises(ValueError, match="must be empty"):
+            Hypergraph3.from_pair_masks(5, pn)
+
+    def test_rejects_bit_out_of_range(self):
+        pn = self._masks(5, [(0, 1, 2)])
+        pn[0][1] |= 1 << 5
+        pn[1][0] |= 1 << 5
+        with pytest.raises(ValueError, match="outside"):
+            Hypergraph3.from_pair_masks(5, pn)
+        pn = self._masks(5, [])
+        pn[2][3] = pn[3][2] = -1
+        with pytest.raises(ValueError, match="outside"):
+            Hypergraph3.from_pair_masks(5, pn)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="matrix"):
+            Hypergraph3.from_pair_masks(4, self._masks(5, []))
+        with pytest.raises(ValueError, match="matrix"):
+            Hypergraph3.from_pair_masks(3, [[0, 0, 0], [0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError):
+            Hypergraph3.from_pair_masks(-1, [])
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 20), st.data())
+    def test_transpose_bits(self, n, data):
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        flipped = transpose_bits(rows, n)
+        for i in range(n):
+            for j in range(n):
+                assert (flipped[j] >> i) & 1 == (rows[i] >> j) & 1
+        assert transpose_bits(flipped, n) == rows
 
 
 class TestDegrees:
