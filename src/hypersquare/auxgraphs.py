@@ -23,13 +23,29 @@ def build_g3(h: Hypergraph3, beta: float) -> AuxGraph:
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     n = h.n
-    edge_list = sorted(h.edges)
-    # incidence[x] = bitset over edge indices whose tetrahedron completions
-    # include x; the pair count is then a popcount of an AND
-    incidence = [0] * n
-    for i, (a, b, c) in enumerate(edge_list):
-        for x in bits_of(h.n3_mask(a, b, c)):
-            incidence[x] |= 1 << i
+    pn = h._pn
+    # incidence[x] holds one bit per edge abc (a < b < c) with abcx a
+    # tetrahedron, so the pair count is a popcount of an AND.  Pair ab owns
+    # one chunk of ``width`` bytes in every incidence[x]; bit c - b - 1 of it
+    # stands for the edge abc.  For x in N(a, b), the c it holds are
+    # N(a, b) & N(a, x) & N(b, x) above b.  Chunks are joined as bytes, as
+    # ORing bits into a growing int would be quadratic.
+    width = (n + 7) // 8
+    empty = bytes(width)
+    incidence = []
+    for x in range(n):
+        chunks = []
+        for a in range(n):
+            row_a = pn[a]
+            ax = row_a[x]
+            for b in range(a + 1, n):
+                ab = row_a[b]
+                if (ab >> x) & 1:
+                    chunk = (ab & ax & pn[b][x]) >> (b + 1)
+                    chunks.append(chunk.to_bytes(width, "little"))
+                else:
+                    chunks.append(empty)
+        incidence.append(int.from_bytes(b"".join(chunks), "little"))
     threshold = beta * n**3
     adj = [0] * n
     for x in range(n):

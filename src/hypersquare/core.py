@@ -4,10 +4,10 @@ shared parameter record.
 Vertices are dense integers 0..n-1 throughout the package.  Vertex sets are
 manipulated as Python integers used as bitsets, so that the hot operation of
 every search, intersecting pair neighborhoods, is a handful of bitwise ANDs.
-Edges are additionally kept as a frozenset of sorted triples for constant
-time membership tests.  Generators that produce the pair masks directly hand
-them to ``Hypergraph3.from_pair_masks``, which validates them and derives the
-edge set.
+The n x n matrix of pair-neighborhood bitsets N(u, v) is the only store of
+the edges: membership is one bit test, and the edge list is read off the
+upper rows when asked for.  Generators that produce the pair masks directly
+hand them to ``Hypergraph3.from_pair_masks``, which validates them.
 """
 
 from __future__ import annotations
@@ -74,37 +74,36 @@ def derive_seed(master: int, *tags) -> int:
 class Hypergraph3:
     """Immutable 3-uniform hypergraph on vertices 0..n-1.
 
-    ``edges`` is a frozenset of sorted vertex triples.  ``pair_neighbors(u, v)``
-    returns the bitset N(u, v) = {w : uvw is an edge}.  Build one from an edge
-    list with ``Hypergraph3(n, edges)``, or from the n x n matrix of those
-    bitsets with ``Hypergraph3.from_pair_masks(n, pn)``.  Instances are safe
-    to share across threads; nothing here mutates after construction.
+    The edges live only in the pair masks: ``pair_neighbors(u, v)`` returns
+    the bitset N(u, v) = {w : uvw is an edge}.  ``iter_edges()`` yields the
+    edges as sorted triples in lexicographic order, and ``edges`` is a fresh
+    frozenset of them on every access.  Build one from an edge list with
+    ``Hypergraph3(n, edges)``, or from the n x n matrix of those bitsets with
+    ``Hypergraph3.from_pair_masks(n, pn)``.  Instances are safe to share
+    across threads; nothing here mutates after construction.
     """
 
-    __slots__ = ("n", "edges", "full_mask", "_pn")
+    __slots__ = ("n", "full_mask", "_pn")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        canon = set()
+        pn = [[0] * n for _ in range(n)]
         for e in edges:
             t = tuple(sorted(e))
             if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
                 raise ValueError(f"edge {e!r} must have 3 distinct vertices")
             if t[0] < 0 or t[2] >= n:
                 raise ValueError(f"edge {e!r} out of range for n={n}")
-            canon.add(t)
-        self.n = n
-        self.edges = frozenset(canon)
-        self.full_mask = (1 << n) - 1
-        pn = [[0] * n for _ in range(n)]
-        for a, b, c in canon:
+            a, b, c = t
             pn[a][b] |= 1 << c
             pn[b][a] |= 1 << c
             pn[a][c] |= 1 << b
             pn[c][a] |= 1 << b
             pn[b][c] |= 1 << a
             pn[c][b] |= 1 << a
+        self.n = n
+        self.full_mask = (1 << n) - 1
         self._pn = pn
 
     @classmethod
@@ -115,7 +114,7 @@ class Hypergraph3:
         ``1 << n`` with no self bits (N(u, u) empty, u and v outside N(u, v)),
         symmetric (N(u, v) == N(v, u)) and triple-consistent
         (w in N(u, v) iff v in N(u, w)); those are exactly the matrices some
-        edge set produces.  The edges are read off the upper rows.
+        edge set produces.  The rows are copied.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
@@ -139,33 +138,42 @@ class Hypergraph3:
                 raise ValueError(f"pair masks not triple-consistent at vertex {u}")
         self = object.__new__(cls)
         self.n = n
-        # copied from a set: a frozenset grown straight from a generator can
-        # end up with a hash table twice the size
-        self.edges = frozenset(
-            {
-                (u, v, w)
-                for u in range(n)
-                for v in range(u + 1, n)
-                for w in bits_of(rows[u][v] >> (v + 1) << (v + 1))
-            }
-        )
         self.full_mask = (1 << n) - 1
         self._pn = rows
         return self
 
+    def iter_edges(self):
+        """Yield every edge (u, v, w), u < v < w, in lexicographic order."""
+        n, pn = self.n, self._pn
+        for u in range(n):
+            row = pn[u]
+            for v in range(u + 1, n - 1):
+                for w in bits_of(row[v] >> (v + 1) << (v + 1)):
+                    yield (u, v, w)
+
+    @property
+    def edges(self) -> frozenset:
+        """Frozenset of sorted edge triples, derived afresh on every access.
+
+        Deliberately not cached: a cache would be a second copy of the edges
+        next to the pair masks.
+        """
+        return frozenset(self.iter_edges())
+
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        # every edge uvw lies in N(u, v), N(u, w) and N(v, w)
+        pn = self._pn
+        return sum(pn[u][v].bit_count() for u in range(self.n) for v in range(u)) // 3
 
     def has_edge(self, a: int, b: int, c: int) -> bool:
-        """Edge membership; total (repeats and out-of-range yield False)."""
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-            if a > b:
-                a, b = b, a
-        return (a, b, c) in self.edges
+        """Edge membership; total over ints (repeats and out-of-range yield
+        False)."""
+        n = self.n
+        # the range check matters: pn[-1] would silently read the last row
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            return False
+        return bool((self._pn[a][b] >> c) & 1)
 
     def check_vertex(self, v: int, name: str = "vertex") -> int:
         if not isinstance(v, int) or not 0 <= v < self.n:
@@ -191,14 +199,14 @@ class Hypergraph3:
         return (
             isinstance(other, Hypergraph3)
             and self.n == other.n
-            and self.edges == other.edges
+            and self._pn == other._pn
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, tuple(map(tuple, self._pn))))
 
     def __repr__(self):
-        return f"Hypergraph3(n={self.n}, edges={len(self.edges)})"
+        return f"Hypergraph3(n={self.n}, edges={self.num_edges})"
 
 
 def pair_degree(h: Hypergraph3, u: int, v: int) -> int:
@@ -382,7 +390,7 @@ class AuxGraph:
 
 def parse_hypergraph(text: str) -> Hypergraph3:
     n = None
-    edges = set()
+    pn = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -397,25 +405,32 @@ def parse_hypergraph(text: str) -> Hypergraph3:
                 raise ParseError(line_no, f"bad vertex count {parts[1]!r}") from None
             if n < 0:
                 raise ParseError(line_no, "vertex count must be nonnegative")
+            pn = [[0] * n for _ in range(n)]
             continue
         if len(parts) != 3:
             raise ParseError(line_no, f"expected 'i j k', got {line!r}")
         try:
-            i, j, k = (int(p) for p in parts)
+            i, j, k = map(int, parts)
         except ValueError:
             raise ParseError(line_no, f"non-integer vertex in {line!r}") from None
         if not 0 <= i < j < k < n:
             raise ParseError(line_no, f"edge {i} {j} {k} violates 0 <= i < j < k < {n}")
-        if (i, j, k) in edges:
+        row_i, row_j, row_k = pn[i], pn[j], pn[k]
+        if (row_i[j] >> k) & 1:
             raise ParseError(line_no, f"duplicate edge {i} {j} {k}")
-        edges.add((i, j, k))
+        row_i[j] |= 1 << k
+        row_j[i] |= 1 << k
+        row_i[k] |= 1 << j
+        row_k[i] |= 1 << j
+        row_j[k] |= 1 << i
+        row_k[j] |= 1 << i
     if n is None:
         raise ParseError(1, "missing header 'n <N>'")
-    return Hypergraph3(n, edges)
+    return Hypergraph3.from_pair_masks(n, pn)
 
 
 def format_hypergraph(h: Hypergraph3, comments=()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"n {h.n}")
-    lines.extend(f"{a} {b} {c}" for a, b, c in sorted(h.edges))
+    lines.extend(f"{a} {b} {c}" for a, b, c in h.iter_edges())
     return "\n".join(lines) + "\n"

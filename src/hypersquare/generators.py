@@ -6,11 +6,10 @@ of its arguments and seed.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import random
 
-from .core import Hypergraph3, bits_of
+from .core import Hypergraph3, bits_of, mask_of
 
 
 @dataclasses.dataclass(frozen=True)
@@ -24,10 +23,28 @@ class PikhurkoPartition:
 
 
 def complete(n: int) -> Hypergraph3:
-    """All C(n, 3) triples."""
+    """All C(n, 3) triples: N(u, v) is every vertex but u and v."""
     if n < 3:
         raise ValueError("complete hypergraph needs n >= 3")
-    return Hypergraph3(n, itertools.combinations(range(n), 3))
+    full = (1 << n) - 1
+    pn = [
+        [full & ~((1 << u) | (1 << v)) if u != v else 0 for v in range(n)]
+        for u in range(n)
+    ]
+    return Hypergraph3.from_pair_masks(n, pn)
+
+
+def _pikhurko_edge(parts: tuple[int, int, int]) -> bool:
+    """Whether a triple whose vertices lie in these parts is an edge."""
+    c = [0, 0, 0, 0]
+    for p in parts:
+        c[p] += 1
+    rest_max = max(c[1], c[2], c[3])
+    return (
+        c[0] == 2
+        or (c[0] == 1 and rest_max == 1)
+        or (c[0] == 0 and rest_max >= 2)
+    )
 
 
 def pikhurko(n: int) -> tuple[Hypergraph3, PikhurkoPartition]:
@@ -41,23 +58,30 @@ def pikhurko(n: int) -> tuple[Hypergraph3, PikhurkoPartition]:
       - it splits 2 + 1 over two parts Ai, Aj, i, j >= 1.
     Triples inside A0, triples with one vertex in A0 and two in the same
     other part, and transversals of A1, A2, A3 are non-edges.
+
+    Membership depends only on the parts, so N(u, v) is the union of the
+    parts allowed as third part for (u mod 4, v mod 4), minus u and v.
     """
     if n < 8:
         raise ValueError("four-part construction needs n >= 8")
-    edges = []
-    for e in itertools.combinations(range(n), 3):
-        c = [0, 0, 0, 0]
-        for v in e:
-            c[v % 4] += 1
-        rest_max = max(c[1], c[2], c[3])
-        if c[0] == 2:
-            edges.append(e)
-        elif c[0] == 1 and rest_max == 1:
-            edges.append(e)
-        elif c[0] == 0 and rest_max >= 2:
-            edges.append(e)
+    part_mask = [mask_of(range(i, n, 4)) for i in range(4)]
+    # the parts are disjoint, so the sum of their masks is their union
+    allowed = [
+        [
+            sum(part_mask[r] for r in range(4) if _pikhurko_edge((p, q, r)))
+            for q in range(4)
+        ]
+        for p in range(4)
+    ]
+    pn = [
+        [
+            allowed[u % 4][v % 4] & ~((1 << u) | (1 << v)) if u != v else 0
+            for v in range(n)
+        ]
+        for u in range(n)
+    ]
     parts = tuple(tuple(v for v in range(n) if v % 4 == i) for i in range(4))
-    return Hypergraph3(n, edges), PikhurkoPartition(parts)
+    return Hypergraph3.from_pair_masks(n, pn), PikhurkoPartition(parts)
 
 
 def _random_pair_masks(n: int, p: float, rng) -> list[list[int]]:

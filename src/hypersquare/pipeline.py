@@ -218,17 +218,22 @@ class _Timeout(Exception):
 
 
 def _k4_adjacency(h: Hypergraph3) -> list[int]:
-    """adj[u] = bitset of vertices sharing some tetrahedron with u."""
-    adj = [0] * h.n
-    for a, b, c in h.edges:
-        m = h.n3_mask(a, b, c)
-        if not m:
-            continue
-        for d in bits_of(m):
-            if d > c:
-                for u, v in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
+    """adj[u] = bitset of vertices sharing some tetrahedron with u.
+
+    u ~ v iff some c in N(u, v) leaves N(u, v) & N(u, c) & N(v, c) nonempty:
+    any d in that set spans the tetrahedron uvcd.
+    """
+    n, pn = h.n, h._pn
+    adj = [0] * n
+    for u in range(n):
+        row_u = pn[u]
+        for v in range(u + 1, n):
+            nuv, row_v = row_u[v], pn[v]
+            for c in bits_of(nuv):
+                if nuv & row_u[c] & row_v[c]:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
+                    break
     return adj
 
 

@@ -18,12 +18,14 @@ def brute_squared_path(h: Hypergraph3, vertices) -> bool:
     vs = tuple(vertices)
     if len(set(vs)) != len(vs):
         return False
+    # h.edges is derived from the pair masks on every access
+    edges = h.edges
     if len(vs) == 3:
-        return tuple(sorted(vs)) in h.edges
+        return tuple(sorted(vs)) in edges
     for i in range(len(vs) - 3):
         window = vs[i : i + 4]
         for triple in itertools.combinations(window, 3):
-            if tuple(sorted(triple)) not in h.edges:
+            if tuple(sorted(triple)) not in edges:
                 return False
     return True
 
@@ -52,13 +54,14 @@ def brute_walk_count(adj: dict[int, set[int]], x: int, y: int, s: int) -> int:
 
 def exhaustive_tiling_weight(h: Hypergraph3, domain, oracle: GoodPairOracle) -> int:
     """Maximum weight over all tilings by good complete tiles of size 2-4."""
+    edges = h.edges
 
     def tile_ok(tile) -> bool:
         for a, b in itertools.combinations(tile, 2):
             if not oracle.is_good(a, b):
                 return False
         return all(
-            tuple(sorted(t)) in h.edges for t in itertools.combinations(tile, 3)
+            tuple(sorted(t)) in edges for t in itertools.combinations(tile, 3)
         )
 
     best = 0

@@ -48,12 +48,16 @@ class TestG3:
     def test_empty_hypergraph(self):
         assert build_g3(Hypergraph3(8), 0.1).num_edges == 0
 
-    def test_counts_match_enumeration(self):
-        h = random_hypergraph(7, 0.8, seed=11)
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(7, 0.8, 11), (9, 0.85, 5), (10, 0.8, 2), (12, 0.75, 3), (13, 0.75, 4)],
+    )
+    def test_counts_match_enumeration(self, n, p, seed):
+        h = random_hypergraph(n, p, seed=seed)
         g = build_g3(h, 0.05)
-        thr = 0.05 * 7**3
-        for x in range(7):
-            for y in range(x + 1, 7):
+        thr = 0.05 * n**3
+        for x in range(n):
+            for y in range(x + 1, n):
                 assert g.has_edge(x, y) == (ordered_triples_g3(h, x, y) >= thr)
 
     def test_beta_monotone(self):

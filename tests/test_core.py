@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -44,9 +45,35 @@ class TestHypergraph3:
         assert not h.has_edge(0, 1, 3)
 
     def test_has_edge_total(self):
-        h = Hypergraph3(4, [(0, 1, 2)])
+        # (0, 1, 3) makes an unchecked pn[-1][0] = N(3, 0) contain 1
+        h = Hypergraph3(4, [(0, 1, 2), (0, 1, 3)])
         assert not h.has_edge(0, 0, 1)
         assert not h.has_edge(0, 1, 9)
+        assert not h.has_edge(-1, 0, 1)
+        assert not h.has_edge(0, 1, -1)
+        assert not h.has_edge(0, 1, 4)
+        assert not h.has_edge(4, 0, 1)
+        assert not h.has_edge(0, 1, 1)
+        assert not h.has_edge(1, 0, 1)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 10**6))
+    def test_masks_agree_with_edge_list(self, n, p, seed):
+        rng = random.Random(seed)
+        wanted = [t for t in itertools.combinations(range(n), 3) if rng.random() < p]
+        shuffled = [tuple(rng.sample(t, 3)) for t in wanted]
+        rng.shuffle(shuffled)
+        h = Hypergraph3(n, shuffled)
+        assert list(h.iter_edges()) == sorted(h.edges) == wanted
+        assert h.num_edges == len(h.edges) == len(wanted)
+        g = Hypergraph3(n, h.edges)
+        assert g == h
+        assert hash(g) == hash(h)
+        if wanted:
+            dropped = wanted[rng.randrange(len(wanted))]
+            smaller = Hypergraph3(n, [t for t in wanted if t != dropped])
+            assert smaller != h
+            assert not smaller.has_edge(*dropped)
 
     def test_pair_neighbors_roundtrip(self):
         h = random_instance(9, 0.4, seed=3)

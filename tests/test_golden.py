@@ -1,11 +1,12 @@
 """Byte-identical gate for seeded outputs.
 
 The digests below were computed from the implementation that built every
-hypergraph through ``Hypergraph3(n, edges)`` and the absorber family through
-per-vertex ``is_v_absorber`` checks.  The current code must reproduce them:
-the random and dense generators' text output (what ``hypersquare gen``
-prints) and the cycles ``construct_squared_hamiltonian`` returns are part of
-the manifest-replay contract.
+hypergraph through ``Hypergraph3(n, edges)``, stored a frozenset of edges
+beside the pair masks and built the absorber family through per-vertex
+``is_v_absorber`` checks.  The current code must reproduce them: the
+generators' text output (what ``hypersquare gen`` prints) and the cycles
+``construct_squared_hamiltonian`` returns are part of the manifest-replay
+contract.
 """
 
 import functools
@@ -15,10 +16,12 @@ import pytest
 
 from hypersquare import (
     Config,
+    complete,
     construct_squared_hamiltonian,
     dense_instance,
     dense_random,
     format_hypergraph,
+    pikhurko,
     random_hypergraph,
 )
 
@@ -55,6 +58,25 @@ RANDOM = {
     (20, 0.3, 1): '613f86d6fa2da2870e517b2da867ee1a3084ed6fd1520848f868a9a6ea386e78',
     (60, 0.8, 2): '1f00a8222fb88d23f3f960685318f8ede67834f8f5e790dd1289f028ec78056c',
     (100, 0.9, 3): 'a7cc0213c806e0525dbe93014335c06d6f126463dffcd32e9b851473f71b46bb',
+}
+
+# n -> sha256 of format_hypergraph(complete(n))
+COMPLETE = {
+    5: '6b164a41c82973c32584f6a11856e55fd304c15a9a2ccf1ccc3fe7279294b923',
+    8: 'bef13c3f11d986baffe0ce65bea0129d86c77ce65b7aff8843d5869eb2c2af4b',
+    9: '81b98582c00abfe73c1715f5d13aa0e0e8a54d56dab031192c39003c39dca112',
+    12: '0809423ab2795fd2bfcfebff2efbf197cc2eb71d50a80bd2a1ab759929775806',
+    16: '2b1bbbb852c45e1b30c0d10224a9a0d1664dba3140cbfcf0d6d917058a744491',
+    60: 'c1dc8e773c39502f4e8f3ff7bd6aeed933ba3115a6bbbfec01333dce26837d0d',
+}
+
+# n -> sha256 of format_hypergraph(pikhurko(n)[0])
+PIKHURKO = {
+    8: '8464bf3ba1e25fbac4fd750aad42294c28b27ec670e2a28d4c64c9b71e9e807f',
+    9: '0217ce28ce0a30983113852d5a3c87543478346a02552905ea7014e3b0c6ba16',
+    12: 'bfe3b1d1544810a6d92f74804ce9faa323d0fefd9a17323a88c7446ca955e634',
+    16: '8ea9dcba7e31a5bac7396ef23a8cb9b74dd3de426664eb1d9082c85c50dd628c',
+    60: 'c88f7168210a332bef720c3b60fceea0313aedc47971d6af2d894a12a7a07f27',
 }
 
 # (n, delta2_target, instance seed, theta_star, config seed) on
@@ -114,6 +136,16 @@ def test_dense_instance_text(cell):
 @pytest.mark.parametrize("cell", sorted(RANDOM))
 def test_random_hypergraph_text(cell):
     assert text_digest(format_hypergraph(random_hypergraph(*cell))) == RANDOM[cell]
+
+
+@pytest.mark.parametrize("n", sorted(COMPLETE))
+def test_complete_text(n):
+    assert text_digest(format_hypergraph(complete(n))) == COMPLETE[n]
+
+
+@pytest.mark.parametrize("n", sorted(PIKHURKO))
+def test_pikhurko_text(n):
+    assert text_digest(format_hypergraph(pikhurko(n)[0])) == PIKHURKO[n]
 
 
 @pytest.mark.parametrize("cell", sorted(CONSTRUCT))

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersquare import (
     Config,
@@ -15,6 +18,7 @@ from hypersquare import (
     random_hypergraph,
     threshold_probe,
 )
+from hypersquare.pipeline import _k4_adjacency
 from conftest import brute_has_hamiltonian
 
 
@@ -61,6 +65,21 @@ class TestConstruct:
         a = construct_squared_hamiltonian(h, Config(seed=11))
         b = construct_squared_hamiltonian(h, Config(seed=11))
         assert a.cycle == b.cycle
+
+
+class TestK4Adjacency:
+    @settings(max_examples=60)
+    @given(st.integers(0, 10), st.floats(0.0, 1.0), st.integers(0, 10**6))
+    def test_matches_brute_force(self, n, p, seed):
+        h = random_hypergraph(n, p, seed)
+        edges = h.edges
+        want = [0] * n
+        for quad in itertools.combinations(range(n), 4):
+            if all(t in edges for t in itertools.combinations(quad, 3)):
+                for u, v in itertools.combinations(quad, 2):
+                    want[u] |= 1 << v
+                    want[v] |= 1 << u
+        assert _k4_adjacency(h) == want
 
 
 class TestCycleOracle:
