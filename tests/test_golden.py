@@ -6,7 +6,9 @@ beside the pair masks and built the absorber family through per-vertex
 ``is_v_absorber`` checks.  The current code must reproduce them: the
 generators' text output (what ``hypersquare gen`` prints) and the cycles
 ``construct_squared_hamiltonian`` returns are part of the manifest-replay
-contract.
+contract.  The ``absorb --demo`` digests were computed from the absorber layer
+that kept a per-vertex index of tuples and located each tuple in the host path
+by a slice scan.
 """
 
 import functools
@@ -24,6 +26,7 @@ from hypersquare import (
     pikhurko,
     random_hypergraph,
 )
+from hypersquare.cli import EXIT_OK, main
 
 # (n, delta2_target, seed) -> sha256 of format_hypergraph(dense_random(...))
 DENSE_RANDOM = {
@@ -99,6 +102,22 @@ CONSTRUCT = {
     (50, 0.85, 2, 0.15, 2): ('cycle', None, 3, 7, '2e6a50fef9fc173d773ec43ffad50b251793989782927284d0cc58848462b8ef'),
 }
 
+# (n, seed) -> sha256 of the stdout of `hypersquare absorb --demo --n n --seed seed`
+ABSORB_DEMO = {
+    (12, 0): '64e1089585663913343d66b71d086408b98169717e91a690ed46f841ff14ffb7',
+    (12, 1): 'bdc8bcf439a72ce18b3bb5218e7a086983f4f44db3d4354f14424ae4c9fc49e7',
+    (12, 2): '770f5f7ed68698506481c9b1b58f4e07f3663b59f0a98797b88a117138186056',
+    (12, 5): 'd0e63d291243714ff63b97951cac5326ebb079452bf5d80063993209a45cb280',
+    (20, 0): '8e0abb9bbc875c5f1bbc8656f1bf345ba73a800de383b2a03820ef2cb4392937',
+    (20, 1): 'd1ced282c89f4f89033eac32d368e4350b2b5f038964f56e21887e3f5c638411',
+    (20, 2): 'de354d8bec859d2653dc09ee22cc05af43b2e13178b94ceebee69eae686633f3',
+    (20, 5): 'ae9d46618b2436c01c07ed50d6af1d0c3f1c815e6b46b19c522d45e40de3073c',
+    (30, 0): '94955dc9dad3137ca30a43d599486c8c572c42a60fad5d6f7ca946674b6fb656',
+    (30, 1): 'b846874cdf937e028e317197a1a7a0e4d75c538e319aad639f2c889610269c50',
+    (30, 2): 'bbae416ac226c5d184e441ee6898d2da02c52b5c9b9b00f547777e87f9563a50',
+    (30, 5): '08b92db3560fe4034b260895d324fd49784c8e8001def9d050832437ff5e2df2',
+}
+
 
 def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -151,3 +170,10 @@ def test_pikhurko_text(n):
 @pytest.mark.parametrize("cell", sorted(CONSTRUCT))
 def test_construct_cycle(cell):
     assert construct_record(*cell) == CONSTRUCT[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(ABSORB_DEMO))
+def test_absorb_demo_output(cell, capsys):
+    n, seed = cell
+    assert main(["absorb", "--demo", "--n", str(n), "--seed", str(seed)]) == EXIT_OK
+    assert text_digest(capsys.readouterr().out) == ABSORB_DEMO[cell]
