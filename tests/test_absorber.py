@@ -7,6 +7,7 @@ from hypersquare import (
     Config,
     Hypergraph3,
     PathConstructionError,
+    VertexSeq,
     absorb,
     absorbable_mask,
     build_absorber_family,
@@ -271,3 +272,11 @@ class TestAbsorb:
         out = absorb(h, pa, fam, [v])
         t = fam.tuples[0]
         assert out.vertices == t[:3] + (v,) + t[3:]
+
+    def test_tuple_not_contiguous_in_path_rejected(self):
+        h, fam, pa = self._setup()
+        outside = sorted(set(range(20)) - set(pa.vertices))[:1]
+        # reversed, every tuple runs backwards; cut short, the second is absent
+        for host in (pa.reversed(), VertexSeq(fam.tuples[0])):
+            with pytest.raises(ValueError, match="contiguous"):
+                absorb(h, host, fam, outside)
