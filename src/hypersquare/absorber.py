@@ -11,9 +11,9 @@ subpaths, reservoir avoidance) matter downstream.
 Once abcdef is a squared path, the windows of abcvdef ask exactly that v lie
 in nine pair neighborhoods, those of ab, ac, bc, bd, cd, ce, de, df and ef.
 So a tuple's absorbable set, every vertex off the tuple that it absorbs, is
-nine ANDs of pair masks (``absorbable_mask``).  The family keeps one such
-mask per tuple and reads coverage, the per-vertex index and the degraded flag
-off them.
+nine ANDs of pair masks (``absorbable_mask``).  The family stores its tuples
+and one such mask per tuple, nothing else: coverage, the degraded flag and
+absorb's choices are all read off the masks.
 """
 
 from __future__ import annotations
@@ -113,38 +113,27 @@ def absorbable_mask(h: Hypergraph3, t) -> int:
 
 @dataclasses.dataclass
 class AbsorberFamily:
-    """Vertex-disjoint absorber tuples, each tuple's absorbable mask, and,
-    per vertex, the indices of the tuples that absorb it."""
+    """Vertex-disjoint absorber tuples on an n-vertex hypergraph and each
+    tuple's absorbable mask; coverage and the degraded flag are derived."""
 
     tuples: list[tuple[int, ...]]
-    per_vertex_index: dict[int, tuple[int, ...]]
-    coverage_target: int
-    degraded: bool
     absorbable: list[int]
+    coverage_target: int
+    n: int
 
-    @classmethod
-    def from_masks(
-        cls, n: int, tuples: list[tuple[int, ...]], absorbable: list[int], target: int
-    ) -> "AbsorberFamily":
-        """Family of ``tuples`` with their absorbable masks; the index and
-        the degraded flag (some vertex absorbed by fewer than ``target``
-        tuples) are derived from the masks."""
-        per_vertex: dict[int, list[int]] = {}
-        for i, m in enumerate(absorbable):
-            for v in bits_of(m):
-                per_vertex.setdefault(v, []).append(i)
-        index = {v: tuple(per_vertex[v]) for v in sorted(per_vertex)}
-        degraded = len(index) < n or any(len(ix) < target for ix in index.values())
-        return cls(list(tuples), index, target, degraded, list(absorbable))
-
-    def truncated(self, k: int, n: int) -> "AbsorberFamily":
-        """The family of the first k tuples on an n-vertex hypergraph.  It
-        equals build_absorber_family(..., min_tuples=k, max_tuples=k) for any
-        k up to len(tuples) of a build with the same hypergraph, reservoir
-        and config: each pick depends only on the tuples chosen before it."""
-        return AbsorberFamily.from_masks(
-            n, self.tuples[:k], self.absorbable[:k], self.coverage_target
+    def truncated(self, k: int) -> "AbsorberFamily":
+        """The family of the first k tuples.  It equals
+        build_absorber_family(..., min_tuples=k, max_tuples=k) for any k up to
+        len(tuples) of a build with the same hypergraph, reservoir and
+        config: each pick depends only on the tuples chosen before it."""
+        return AbsorberFamily(
+            self.tuples[:k], self.absorbable[:k], self.coverage_target, self.n
         )
+
+    @property
+    def degraded(self) -> bool:
+        """Some vertex is absorbed by fewer than coverage_target tuples."""
+        return any(self.coverage(v) < self.coverage_target for v in range(self.n))
 
     @property
     def vertex_mask(self) -> int:
@@ -154,7 +143,7 @@ class AbsorberFamily:
         return m
 
     def coverage(self, v: int) -> int:
-        return len(self.per_vertex_index.get(v, ()))
+        return sum((m >> v) & 1 for m in self.absorbable)
 
 
 def build_absorber_family(
@@ -215,7 +204,7 @@ def build_absorber_family(
         for u in bits_of(absorbable[-1]):
             coverage[u] += 1
 
-    return AbsorberFamily.from_masks(n, selected, absorbable, target)
+    return AbsorberFamily(selected, absorbable, target, n)
 
 
 def build_absorbing_path(
@@ -260,22 +249,6 @@ def build_absorbing_path(
     return out
 
 
-def _locate_tuples(pa: VertexSeq, fam: AbsorberFamily) -> list[int]:
-    """Start offset of each family tuple inside the path, or raise."""
-    vs = pa.vertices
-    starts = []
-    for t in fam.tuples:
-        pos = None
-        for i in range(len(vs) - 5):
-            if vs[i : i + 6] == t:
-                pos = i
-                break
-        if pos is None:
-            raise ValueError(f"tuple {t} is not a contiguous subpath of the host path")
-        starts.append(pos)
-    return starts
-
-
 def absorb(h: Hypergraph3, pa: VertexSeq, fam: AbsorberFamily, x) -> VertexSeq:
     """Insert every vertex of x into the host path, one unused absorber tuple
     per vertex, preserving the end triples.
@@ -285,33 +258,45 @@ def absorb(h: Hypergraph3, pa: VertexSeq, fam: AbsorberFamily, x) -> VertexSeq:
     the first vertex left without an unused absorber.
     """
     xs = sorted(set(x))
-    overlap = set(xs) & set(pa.vertices)
+    vs = pa.vertices
+    overlap = set(xs) & set(vs)
     if overlap:
         raise ValueError(f"absorbed vertices already on the path: {sorted(overlap)}")
-    starts = _locate_tuples(pa, fam)
-    seq = list(pa.vertices)
-    used_tuples: set[int] = set()
-    remaining = list(xs)
+    at = {v: i for i, v in enumerate(vs)}
+    starts = []
+    for t in fam.tuples:
+        s = at.get(t[0])
+        if s is None or vs[s : s + 6] != t:
+            raise ValueError(f"tuple {t} is not a contiguous subpath of the host path")
+        starts.append(s)
+    absorbable = fam.absorbable
+    free = list(range(len(fam.tuples)))
+    remaining = mask_of(xs)
+    after: dict[int, int] = {}
     while remaining:
         def free_options(u: int) -> list[int]:
-            return [i for i in fam.per_vertex_index.get(u, ()) if i not in used_tuples]
+            return [i for i in free if (absorbable[i] >> u) & 1]
 
-        v = min(remaining, key=lambda u: (len(free_options(u)), u))
+        v = min(bits_of(remaining), key=lambda u: (len(free_options(u)), u))
         options = free_options(v)
         if not options:
             raise AbsorptionError(v)
-        remaining.remove(v)
+        remaining &= ~(1 << v)
 
         def demand(i: int) -> int:
-            return sum(1 for u in remaining if i in fam.per_vertex_index.get(u, ()))
+            return (absorbable[i] & remaining).bit_count()
 
         choice = min(options, key=lambda i: (demand(i), i))
-        used_tuples.add(choice)
-        pos = starts[choice] + 3
-        seq.insert(pos, v)
-        starts = [s + 1 if s >= starts[choice] + 1 else s for s in starts]
+        free.remove(choice)
+        # v goes between the tuple's c and d
+        after[starts[choice] + 2] = v
+    seq = []
+    for i, u in enumerate(vs):
+        seq.append(u)
+        if i in after:
+            seq.append(after[i])
     out = VertexSeq(tuple(seq))
     assert is_squared_path(h, out)
     assert out.start_triple == pa.start_triple and out.end_triple == pa.end_triple
-    assert set(out.vertices) == set(pa.vertices) | set(xs)
+    assert set(out.vertices) == set(vs) | set(xs)
     return out

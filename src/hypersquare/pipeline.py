@@ -75,7 +75,7 @@ def _attempt_construction(h: Hypergraph3, cfg: Config, stats: dict) -> VertexSeq
     join_error = None
     # the greedy may stall below the target size
     for size in range(len(largest.tuples), 0, -1):
-        fam = largest.truncated(size, n)
+        fam = largest.truncated(size)
         try:
             pa = absorber_mod.build_absorbing_path(h, fam, reservoir, cfg)
             break

@@ -111,7 +111,7 @@ class TestFamily:
         for v in range(24):
             for i, t in enumerate(fam.tuples):
                 expected = is_v_absorber(h, v, t)
-                assert (i in fam.per_vertex_index.get(v, ())) == expected
+                assert bool((fam.absorbable[i] >> v) & 1) == expected
 
 
 class TestAbsorbableMask:
@@ -152,14 +152,12 @@ class TestTruncatedFamily:
         r = sample_reservoir(h, cfg)
         size = max(1, (n - r.member_count) // 6)
         largest = build_absorber_family(h, r, cfg, min_tuples=size, max_tuples=size)
-        assert largest.truncated(len(largest.tuples), n) == largest
+        assert largest.truncated(len(largest.tuples)) == largest
         for k in range(1, len(largest.tuples) + 1):
-            cut = largest.truncated(k, n)
+            cut = largest.truncated(k)
             fresh = build_absorber_family(h, r, cfg, min_tuples=k, max_tuples=k)
-            assert cut.tuples == fresh.tuples
-            assert cut.per_vertex_index == fresh.per_vertex_index
+            assert cut == fresh
             assert cut.degraded == fresh.degraded
-            assert cut.absorbable == fresh.absorbable
 
 
 class TestAbsorbingPath:
@@ -167,8 +165,7 @@ class TestAbsorbingPath:
         h = complete(40)
         cfg = Config(seed=7)
         r = Reservoir(members=0)
-        fam = build_absorber_family(h, r, cfg, min_tuples=3)
-        fam.tuples = fam.tuples[:3]
+        fam = build_absorber_family(h, r, cfg, min_tuples=3).truncated(3)
         pa = build_absorbing_path(h, fam, r, cfg)
         # complete case joins directly, so exactly 18 vertices
         assert len(pa) == 18
@@ -182,16 +179,14 @@ class TestAbsorbingPath:
         h = complete(20)
         cfg = Config(seed=8)
         r = Reservoir(members=0)
-        fam = build_absorber_family(h, r, cfg)
-        fam.tuples = fam.tuples[:1]
+        fam = build_absorber_family(h, r, cfg).truncated(1)
         pa = build_absorbing_path(h, fam, r, cfg)
         assert pa.vertices == fam.tuples[0]
 
     def test_empty_family_rejected(self):
         h = complete(20)
         cfg = Config()
-        fam = build_absorber_family(h, Reservoir(members=0), cfg)
-        fam.tuples = []
+        fam = build_absorber_family(h, Reservoir(members=0), cfg).truncated(0)
         with pytest.raises(ValueError):
             build_absorbing_path(h, fam, Reservoir(members=0), cfg)
 
@@ -228,16 +223,7 @@ class TestAbsorb:
         h = complete(n)
         cfg = Config(seed=seed)
         r = Reservoir(members=0)
-        fam = build_absorber_family(h, r, cfg, min_tuples=tuples)
-        fam.tuples = fam.tuples[:tuples]
-        fam.per_vertex_index = {
-            v: tuple(
-                i
-                for i in fam.per_vertex_index.get(v, ())
-                if i < tuples
-            )
-            for v in range(n)
-        }
+        fam = build_absorber_family(h, r, cfg, min_tuples=tuples).truncated(tuples)
         pa = build_absorbing_path(h, fam, r, cfg)
         return h, fam, pa
 
