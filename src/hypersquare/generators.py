@@ -9,7 +9,7 @@ import dataclasses
 import math
 import random
 
-from .core import Hypergraph3, bits_of, mask_of
+from .core import Hypergraph3, mask_of
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,7 +130,11 @@ def _repair_to_pair_degree(n: int, required: int, base_p: float, rng) -> Hypergr
         for v in range(u + 1, n):
             while row[v].bit_count() < required:
                 missing = full & ~row[v] & ~(1 << u) & ~(1 << v)
-                w = rng.choice(list(bits_of(missing)))
+                # the k-th set bit of missing; randrange draws exactly as
+                # rng.choice over the listed bits would
+                for _ in range(rng.randrange(missing.bit_count())):
+                    missing &= missing - 1
+                w = (missing & -missing).bit_length() - 1
                 for x, y, z in ((u, v, w), (u, w, v), (v, w, u)):
                     pn[x][y] |= 1 << z
                     pn[y][x] |= 1 << z
