@@ -66,12 +66,7 @@ def is_squared_path(h: Hypergraph3, s: VertexSeq) -> bool:
         raise ValueError("squared paths need at least 3 vertices")
     if len(set(vs)) != len(vs):
         return False
-    if len(vs) == 3:
-        return h.has_edge(*vs)
-    return all(
-        _window_ok(h, vs[i], vs[i + 1], vs[i + 2], vs[i + 3])
-        for i in range(len(vs) - 3)
-    )
+    return is_squared_walk(h, s)
 
 
 def is_squared_cycle(h: Hypergraph3, s: VertexSeq) -> bool:

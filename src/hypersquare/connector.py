@@ -127,6 +127,16 @@ def _search(h, abc, xyz, allowed: int, cap_m: int, budget: int):
     return None
 
 
+def _connect(h, abc, xyz, allowed: int, cap_m: int, budget: int) -> VertexSeq | None:
+    """The certified squared path that _search finds, or None."""
+    interior = _search(h, abc, xyz, allowed, cap_m, budget)
+    if interior is None:
+        return None
+    seq = VertexSeq(abc + interior + xyz)
+    assert is_squared_path(h, seq)
+    return seq
+
+
 def connect(
     h: Hypergraph3,
     abc,
@@ -149,12 +159,7 @@ def connect(
     if fmask & ends:
         raise ValueError("end vertices may not be forbidden")
     allowed = h.full_mask & ~fmask & ~ends
-    interior = _search(h, abc, xyz, allowed, cap_m, budget)
-    if interior is None:
-        return None
-    seq = VertexSeq(abc + interior + xyz)
-    assert is_squared_path(h, seq)
-    return seq
+    return _connect(h, abc, xyz, allowed, cap_m, budget)
 
 
 def count_connections(h: Hypergraph3, abc, xyz, m: int, guard: int = 10**8) -> int:
@@ -195,11 +200,7 @@ def connect_through_reservoir(
     if cap_m < 1:
         raise ValueError("cap_m must be at least 1")
     ends = mask_of(abc + xyz)
-    allowed = r.available & ~ends
-    interior = _search(h, abc, xyz, allowed, cap_m, budget)
-    if interior is None:
-        return None
-    seq = VertexSeq(abc + interior + xyz)
-    assert is_squared_path(h, seq)
-    r.used |= mask_of(interior)
+    seq = _connect(h, abc, xyz, r.available & ~ends, cap_m, budget)
+    if seq is not None:
+        r.used |= mask_of(seq.vertices[3:-3])
     return seq
