@@ -273,19 +273,19 @@ def absorb(h: Hypergraph3, pa: VertexSeq, fam: AbsorberFamily, x) -> VertexSeq:
     free = list(range(len(fam.tuples)))
     remaining = mask_of(xs)
     after: dict[int, int] = {}
-    while remaining:
-        def free_options(u: int) -> list[int]:
-            return [i for i in free if (absorbable[i] >> u) & 1]
 
+    def free_options(u: int) -> list[int]:
+        return [i for i in free if (absorbable[i] >> u) & 1]
+
+    def demand(i: int) -> int:
+        return (absorbable[i] & remaining).bit_count()
+
+    while remaining:
         v = min(bits_of(remaining), key=lambda u: (len(free_options(u)), u))
         options = free_options(v)
         if not options:
             raise AbsorptionError(v)
         remaining &= ~(1 << v)
-
-        def demand(i: int) -> int:
-            return (absorbable[i] & remaining).bit_count()
-
         choice = min(options, key=lambda i: (demand(i), i))
         free.remove(choice)
         # v goes between the tuple's c and d
