@@ -8,11 +8,15 @@ generators' text output (what ``hypersquare gen`` prints) and the cycles
 ``construct_squared_hamiltonian`` returns are part of the manifest-replay
 contract.  The ``absorb --demo`` digests were computed from the absorber layer
 that kept a per-vertex index of tuples and located each tuple in the host path
-by a slice scan.
+by a slice scan.  Both the construct records and the ``absorb --demo`` digests
+were taken again, on the code whose config still carried ``beta`` and
+``gamma`` and whose stats carried ``reservoir_budget_ok``, so that they cover
+only the named stats and the output after the manifest.
 """
 
 import functools
 import hashlib
+import json
 
 import pytest
 
@@ -84,38 +88,40 @@ PIKHURKO = {
 
 # (n, delta2_target, instance seed, theta_star, config seed) on
 # dense_random(n, delta2_target, instance seed) -> (outcome, stage, attempts,
-# family_size, sha256 of the cycle, the failure detail and the stats without
-# timings).  The n <= 50 cells all hit join failures that shrink the family.
+# family_size, sha256 of the cycle, the failure detail and the STAT_KEYS
+# entries of the stats).  The n <= 50 cells all hit join failures that shrink
+# the family.
 CONSTRUCT = {
-    (60, 0.9, 1, 0.3, 0): ('cycle', None, 1, 8, '10b160b284084ecfb95656b8e1de3c4a3852546e3bb0da4dd6f7983851f90dec'),
-    (60, 0.9, 1, 0.3, 1): ('cycle', None, 1, 8, '9d02b9f7d1ec0b20913b9e483db20cd46bccaf9f44bfc10793906b3e8fdb84d3'),
-    (100, 0.9, 2, 0.3, 0): ('cycle', None, 1, 13, 'd4ddb5184e5a4403e913951d59db404e7c18ce9479eb026a6efeffc993113954'),
-    (100, 0.9, 2, 0.3, 3): ('cycle', None, 1, 14, '3cd49e3c784e14084e077e249120e545c54ab75c244bdafb4708d6f5eb482d46'),
-    (150, 0.9, 1, 0.3, 0): ('cycle', None, 1, 21, 'a4df559443deb474758a2a45e4169cc0d5cb1e6b5a7bfcc04cd402eb8c7c9557'),
-    (150, 0.9, 1, 0.3, 5): ('cycle', None, 1, 21, 'd69d98d186082f0707d6a5bc64ff67413719049e7ef84e61c3029dafea6b77ec'),
-    (30, 0.8, 0, 0.15, 0): ('failure', 'absorb', 3, 3, '56bb3bd35f2e2fc6d5bbd5196cd04bb9f40ea281eca133a5ad5bf61067e62ed8'),
-    (30, 0.85, 0, 0.15, 0): ('cycle', None, 3, 4, 'df4df3f931fe8719622fbe35a44863a845580bfd78cfbe602e18902206347847'),
-    (40, 0.8, 5, 0.3, 5): ('cycle', None, 3, 5, '67bddefcbe9829b248cadc2eab8c970a6953245af319404b7eafa8481e5d6034'),
-    (50, 0.8, 0, 0.3, 0): ('failure', 'connect', 3, 5, '1fad86733bac6adab3cee4eb430daa2cff73b3259e6b0334ac8a1061e064527d'),
-    (50, 0.8, 1, 0.15, 1): ('cycle', None, 3, 7, '0daefd7edd4211755f277a4d311ca58f1898add9c84fd397d9a296c16f070948'),
-    (50, 0.8, 2, 0.3, 2): ('failure', 'absorb', 3, 6, '2f43fb8a121f3948acd70f9c3e6cccfcc84fcdd589e647b8ca3e9f228c4c93d7'),
-    (50, 0.85, 2, 0.15, 2): ('cycle', None, 3, 7, '2e6a50fef9fc173d773ec43ffad50b251793989782927284d0cc58848462b8ef'),
+    (60, 0.9, 1, 0.3, 0): ('cycle', None, 1, 8, '955db32d6a75bf1d794e20462c98fd89dc5e38ed24bc50d691d9f042afa7ccd3'),
+    (60, 0.9, 1, 0.3, 1): ('cycle', None, 1, 8, 'f094d2598c56cff9e319fd1d10dd7f7f7ed48c4d418c27ab5390a3d40109fdf2'),
+    (100, 0.9, 2, 0.3, 0): ('cycle', None, 1, 13, '59a67ebe1fffbd6b05095abbd1562822541160bc8e467ea1f0ad4be8ab92aee8'),
+    (100, 0.9, 2, 0.3, 3): ('cycle', None, 1, 14, 'da1bd402ec1d16725d2416448b9623b80889e1fc0b2b52337f6c8465debb9478'),
+    (150, 0.9, 1, 0.3, 0): ('cycle', None, 1, 21, 'a42e7a8ab4562b95eabf373038a0731527205a0e593cc8587d51df8926ed0004'),
+    (150, 0.9, 1, 0.3, 5): ('cycle', None, 1, 21, '3d586f55d89d3a922e0c524f441f196e20e075d618b416d2d649503c8d21183e'),
+    (30, 0.8, 0, 0.15, 0): ('failure', 'absorb', 3, 3, '42614d2ff8d8aec700224e3f0b02e540cd192704b9ee72fb008fb99c29e6ba19'),
+    (30, 0.85, 0, 0.15, 0): ('cycle', None, 3, 4, '3410bada39242c59a452aaac7d4e12f804d96d40dea8b0491c6664bafe6ada90'),
+    (40, 0.8, 5, 0.3, 5): ('cycle', None, 3, 5, 'c56f059b5f5edfa93908326c6d11c3bf9c7d27347aee9ed324891d552d3c7d3a'),
+    (50, 0.8, 0, 0.3, 0): ('failure', 'connect', 3, 5, 'c4532b3f9ee9db71792cd8e33702f64d6b1113953b6ea98ee3e22c8f26db6415'),
+    (50, 0.8, 1, 0.15, 1): ('cycle', None, 3, 7, '98409882e5fb686b1b6a505234ba6f6884d1b53d99abd70ab13b7072d01fda0d'),
+    (50, 0.8, 2, 0.3, 2): ('failure', 'absorb', 3, 6, '9d5c18a0f60a731efafc974e52ac435578c33540dd129976e3eeb1e5b159e0d4'),
+    (50, 0.85, 2, 0.15, 2): ('cycle', None, 3, 7, '94f30edbb9dea1f177f861b0c9c85addff43f52eb0b5fc445611502335c99cc1'),
 }
 
 # (n, seed) -> sha256 of the stdout of `hypersquare absorb --demo --n n --seed seed`
+# after its manifest line; the manifest is checked on its own
 ABSORB_DEMO = {
-    (12, 0): '64e1089585663913343d66b71d086408b98169717e91a690ed46f841ff14ffb7',
-    (12, 1): 'bdc8bcf439a72ce18b3bb5218e7a086983f4f44db3d4354f14424ae4c9fc49e7',
-    (12, 2): '770f5f7ed68698506481c9b1b58f4e07f3663b59f0a98797b88a117138186056',
-    (12, 5): 'd0e63d291243714ff63b97951cac5326ebb079452bf5d80063993209a45cb280',
-    (20, 0): '8e0abb9bbc875c5f1bbc8656f1bf345ba73a800de383b2a03820ef2cb4392937',
-    (20, 1): 'd1ced282c89f4f89033eac32d368e4350b2b5f038964f56e21887e3f5c638411',
-    (20, 2): 'de354d8bec859d2653dc09ee22cc05af43b2e13178b94ceebee69eae686633f3',
-    (20, 5): 'ae9d46618b2436c01c07ed50d6af1d0c3f1c815e6b46b19c522d45e40de3073c',
-    (30, 0): '94955dc9dad3137ca30a43d599486c8c572c42a60fad5d6f7ca946674b6fb656',
-    (30, 1): 'b846874cdf937e028e317197a1a7a0e4d75c538e319aad639f2c889610269c50',
-    (30, 2): 'bbae416ac226c5d184e441ee6898d2da02c52b5c9b9b00f547777e87f9563a50',
-    (30, 5): '08b92db3560fe4034b260895d324fd49784c8e8001def9d050832437ff5e2df2',
+    (12, 0): '1100a1349356a15eed0b6f26ce67f30dd36ee50c6971833a0587c78c1f4e891d',
+    (12, 1): 'da78d6f39216319bba5ec1bc17f031b1abe538500b4e86eb7446473894a6b78b',
+    (12, 2): 'd5e76ab96c78f980f739ce5a1e31abde3fbd1bef7b72015953f0e85554c7861b',
+    (12, 5): 'b3b655c028057c75ff46b03ab5f8deccf80b9fc09f651831ae0982abd010b4c0',
+    (20, 0): '8e2db5c470f6e8052a0cdb7a9edcf825e50ac09df9b85e48b6eea574ee418b6e',
+    (20, 1): '74285aba65b3672e8c0bdcb4e7fea464ba14821ff21601697742735b48033514',
+    (20, 2): '0e573c14865deba6dd8b153d9d62a45611cd2aac15163d3cda91ef0fa1811eb1',
+    (20, 5): '76c91cae07e8cd52c77acee0c969736bfe031e48bd40c53cf6b7d09a26aac6dd',
+    (30, 0): '0a2c27e7ad02d852fa4331ae6a46c5736e9ea970563e49be3f501324c8997f4f',
+    (30, 1): '116cffda5adcff6cd221de39f6c4e9a8b05796ba4bc7383eb694213893b95d3e',
+    (30, 2): 'b54b9ef1fd9524fd9c6679af26add8e0c9a548effe56f6cc79018a43125c38a9',
+    (30, 5): 'ae3dfe662d9b28e331d11ac3eeb14a9e5e14e87bc721bfd258ce7cc897c7666f',
 }
 
 
@@ -128,10 +134,24 @@ def _dense_random(n, delta, seed):
     return dense_random(n, delta, seed)
 
 
+# The stats the construct digests cover, named so that added counters leave
+# the digests alone; a failed attempt reports only the stages it reached.
+STAT_KEYS = (
+    "attempt_seed",
+    "reservoir_size",
+    "family_size",
+    "family_degraded",
+    "absorbing_path_size",
+    "cover_paths",
+    "reservoir_used",
+    "leftover_size",
+)
+
+
 def construct_record(n, delta, inst_seed, theta_star, cfg_seed):
     h = _dense_random(n, delta, inst_seed)
     rep = construct_squared_hamiltonian(h, Config(theta_star=theta_star, seed=cfg_seed))
-    stats = sorted((k, v) for k, v in rep.stats.items() if k != "timings")
+    stats = [(k, rep.stats[k]) for k in STAT_KEYS if k in rep.stats]
     cycle = rep.cycle.vertices if rep.cycle else None
     return (
         rep.outcome,
@@ -175,5 +195,11 @@ def test_construct_cycle(cell):
 @pytest.mark.parametrize("cell", sorted(ABSORB_DEMO))
 def test_absorb_demo_output(cell, capsys):
     n, seed = cell
-    assert main(["absorb", "--demo", "--n", str(n), "--seed", str(seed)]) == EXIT_OK
-    assert text_digest(capsys.readouterr().out) == ABSORB_DEMO[cell]
+    argv = ["absorb", "--demo", "--n", str(n), "--seed", str(seed)]
+    assert main(argv) == EXIT_OK
+    head, body = capsys.readouterr().out.split("\n", 1)
+    assert text_digest(body) == ABSORB_DEMO[cell]
+    assert head.startswith("# manifest: ")
+    manifest = json.loads(head[len("# manifest: ") :])
+    assert manifest["argv"] == argv
+    assert manifest["config"] == Config(seed=seed).as_dict()
