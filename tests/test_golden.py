@@ -17,18 +17,23 @@ only the named stats and the output after the manifest.
 import functools
 import hashlib
 import json
+import math
 
 import pytest
 
 from hypersquare import (
     Config,
+    almost_k4_factor,
+    classify_pairs,
     complete,
     construct_squared_hamiltonian,
+    cover_with_squared_paths,
     dense_instance,
     dense_random,
     format_hypergraph,
     pikhurko,
     random_hypergraph,
+    weighted_tiling,
 )
 from hypersquare.cli import EXIT_OK, main
 
@@ -124,6 +129,50 @@ ABSORB_DEMO = {
     (30, 5): 'ae3dfe662d9b28e331d11ac3eeb14a9e5e14e87bc721bfd258ce7cc897c7666f',
 }
 
+# Instances for the tiling digests: ("complete", n), ("pikhurko", n) or
+# ("dense_random", n, delta2_target, seed).
+
+# (instance, threshold fraction, seed) -> sha256 of the tiles of
+# weighted_tiling(h, range(n), classify_pairs(h, ceil(fraction * n)), seed).
+# The dense_random cells make the split moves fire: a K4 giving two vertices
+# away, a K3 dissolving and a K4 dissolving.
+WEIGHTED_TILING = {
+    (('complete', 12), 0.8, 1): '0b723340026b11dba144550130596634237d004551d0ad71ae202afe51741d8e',
+    (('pikhurko', 12), 0.5, 0): 'f87549538c260ee7678061e4a81cfa025cc78e052b96be03f4a0811d303f2093',
+    (('pikhurko', 20), 0.5, 3): '89606e62883b0e1443f72a5ad759bdf8bd5659fee6918e7f224767ebcabcb8d7',
+    (('pikhurko', 20), 0.7, 1): '4ed5385b8fec37c5f92e40a49c913a596c2a83d4c08dc833989e8d29c7332a35',
+    (('dense_random', 10, 0.5, 0), 0.4, 1): 'ff16cb0d38df76d3af5fab4413ab6e22e7438c2c3768c841fb4f86c7dd519e9e',
+    (('dense_random', 10, 0.6, 2), 0.7, 1): 'c863626d0a595c98e99a8789dfff87c5d7b60f37af073b30ac181d487ac38e37',
+    (('dense_random', 16, 0.5, 2), 0.6, 1): '04c55d8c0b48323d220b1c877d3cc8159d341d2eaafcc67804b788b2750d00dd',
+    (('dense_random', 24, 0.6, 1), 0.7, 1): '0c8da8484e3b4bb5e5cb3a5a32af51c8fcb256d21a27164e901be8499182aef0',
+    (('dense_random', 30, 0.8, 0), 0.85, 1): '4c41afd7128d390e71f6f0395534b81ba993445d54a313463898a4e2a7b4e571',
+    (('dense_random', 30, 0.8, 0), 0.85, None): '5b04c0b9d815b5f0749edc8f0dae24c984c9e60c0fbac48059d4fa625da1ed28',
+}
+
+# (instance, config seed) -> sha256 of the k4 tiles, leftover, bound, tiling
+# and pruned set of almost_k4_factor(h, Config(seed=seed))
+ALMOST_K4 = {
+    (('complete', 16), 0): '65478c1eab1e96b821a23ad707fb31dd5383ebbcfce77d59ed653c8264ca1fcb',
+    (('pikhurko', 16), 0): '4def6c208c5f8f52deebab30bbbf3072f5def3c9174b23d7c56d349f405e6d7a',
+    (('pikhurko', 20), 1): '7167b5f10f6c9faa762c5a78dc74d193030c75350d0ddf6078f5c349dfebb9dd',
+    (('dense_random', 30, 0.8, 0), 2): '1fdc757eed12c7423e79aeaa49d9059268584403c50387aa8bd140d98826d41d',
+    (('dense_random', 40, 0.7, 1), 0): 'ee543435525aa47a821fcc9ae493341bbf386808c1c09090b7e6f161d11bc59a',
+    (('dense_random', 40, 0.7, 1), 3): '5daff7870da2aef5e5d070731a102589d2e52d395909ac8c18937faabd027250',
+    (('dense_random', 60, 0.8, 0), 0): '5495b6f4db11d6e47f4db4b4b60a5b7f8d9c1c5dc632522c0ef591f9b5a11186',
+}
+
+# (instance, q, mu, seed, domain step) -> sha256 of the paths, uncovered set
+# and bound of cover_with_squared_paths(h, q, mu, seed, domain=range(0, n, step))
+COVER = {
+    (('complete', 16), 4, 0.5, None, 1): '814be559d64f22afcb5c0a67d8954ca39e88eee5517a3045a1c2744e59841a0a',
+    (('complete', 16), 8, 0.5, 3, 1): '51386d1cca95fe1d873d5ad2377e6b6e9fb031ca6f41612dd73e5ab0ff66e726',
+    (('pikhurko', 16), 4, 0.5, 0, 1): '18ac956819cbf4b392712ae9e1bb5f183d710540fb82002a1e6369e98115de0f',
+    (('pikhurko', 20), 8, 0.5, 1, 1): '6d69ea743e8a92b0c196972db26be2811e318bb504c4266a760f3967f2ae23e5',
+    (('dense_random', 30, 0.8, 0), 4, 0.1, 2, 1): '7253ece8a1473298e7b39db0972ee1e1f02aacd9da5407e1d3852a8916ba70bb',
+    (('dense_random', 60, 0.9, 1), 8, 0.1, 5, 1): '5a5ccb2752fa4b77e779772d94d3aff334a4e656c8b9b06d4be7f662f537c74f',
+    (('dense_random', 60, 0.9, 1), 4, 0.1, 5, 2): 'cab0b123f9d3501cee924096348545e0ba87ea59efbc3e9842f535f55ca54ba9',
+}
+
 
 def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -132,6 +181,44 @@ def text_digest(text: str) -> str:
 @functools.lru_cache(maxsize=None)
 def _dense_random(n, delta, seed):
     return dense_random(n, delta, seed)
+
+
+def _instance(spec):
+    kind, *args = spec
+    if kind == "complete":
+        return complete(*args)
+    if kind == "pikhurko":
+        return pikhurko(*args)[0]
+    return _dense_random(*args)
+
+
+def tiling_record(spec, fraction, seed):
+    h = _instance(spec)
+    oracle = classify_pairs(h, math.ceil(fraction * h.n))
+    return text_digest(repr(weighted_tiling(h, range(h.n), oracle, seed=seed).tiles))
+
+
+def almost_k4_record(spec, seed):
+    res = almost_k4_factor(_instance(spec), Config(seed=seed))
+    return text_digest(
+        repr(
+            (
+                res.k4_tiles,
+                sorted(res.leftover),
+                res.leftover_bound,
+                res.within_bound,
+                res.tiling.tiles,
+                sorted(res.pruned),
+            )
+        )
+    )
+
+
+def cover_record(spec, q, mu, seed, step):
+    h = _instance(spec)
+    res = cover_with_squared_paths(h, q, mu, seed=seed, domain=range(0, h.n, step))
+    paths = [p.vertices for p in res.paths]
+    return text_digest(repr((paths, sorted(res.uncovered), res.mu_bound, res.within_bound)))
 
 
 # The stats the construct digests cover, named so that added counters leave
@@ -190,6 +277,21 @@ def test_pikhurko_text(n):
 @pytest.mark.parametrize("cell", sorted(CONSTRUCT))
 def test_construct_cycle(cell):
     assert construct_record(*cell) == CONSTRUCT[cell]
+
+
+@pytest.mark.parametrize("cell", list(WEIGHTED_TILING))
+def test_weighted_tiling(cell):
+    assert tiling_record(*cell) == WEIGHTED_TILING[cell]
+
+
+@pytest.mark.parametrize("cell", list(ALMOST_K4))
+def test_almost_k4_factor(cell):
+    assert almost_k4_record(*cell) == ALMOST_K4[cell]
+
+
+@pytest.mark.parametrize("cell", list(COVER))
+def test_cover_with_squared_paths(cell):
+    assert cover_record(*cell) == COVER[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(ABSORB_DEMO))
