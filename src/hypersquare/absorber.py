@@ -23,7 +23,7 @@ import math
 import random
 
 from .certify import VertexSeq, is_squared_path
-from .connector import DEFAULT_BUDGET, Reservoir, connect
+from .connector import Reservoir, connect
 from .core import Config, Hypergraph3, bits_of, derive_seed, mask_of
 
 
@@ -212,7 +212,6 @@ def build_absorbing_path(
     fam: AbsorberFamily,
     r: Reservoir,
     cfg: Config,
-    budget: int = DEFAULT_BUDGET,
 ) -> VertexSeq:
     """Chain the family tuples in selection order into one squared path.
 
@@ -230,9 +229,7 @@ def build_absorbing_path(
         # tuple would arrive with one of its vertices already on the path
         ends = mask_of(seq[-3:]) | mask_of(t[:3])
         forbidden = (r.members | used | family_mask) & ~ends
-        joined = connect(
-            h, tuple(seq[-3:]), t[:3], forbidden=forbidden, cap_m=cfg.cap_m, budget=budget
-        )
+        joined = connect(h, tuple(seq[-3:]), t[:3], forbidden=forbidden, cap_m=cfg.cap_m)
         if joined is None:
             raise PathConstructionError(
                 f"cannot join tuple {i - 1} to tuple {i} "

@@ -37,6 +37,7 @@ from .core import (
     Hypergraph3,
     bits_of,
     format_hypergraph,
+    mask_of,
     parse_hypergraph,
 )
 from .generators import complete, dense_random, pikhurko, random_hypergraph
@@ -95,15 +96,13 @@ def _manifest(command, argv, config=None, seed=None, input_text=None) -> RunMani
     )
 
 
+# every Config field but the seed, which has its own flag and variable
+_CONFIG_KNOBS = tuple(f for f in dataclasses.fields(Config) if f.name != "seed")
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--theta-star", type=float, default=None, dest="theta_star")
-    p.add_argument("--cap-m", type=int, default=None, dest="cap_m")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
+    for f in _CONFIG_KNOBS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
 
 
 def _resolve_seed(args, required: bool) -> int:
@@ -122,10 +121,10 @@ def _resolve_seed(args, required: bool) -> int:
 
 def _config_from(args) -> Config:
     kwargs = {}
-    for field in ("alpha", "beta", "gamma", "theta_star", "cap_m", "q", "tau", "mu"):
-        val = getattr(args, field, None)
+    for f in _CONFIG_KNOBS:
+        val = getattr(args, f.name)
         if val is not None:
-            kwargs[field] = val
+            kwargs[f.name] = val
     kwargs["seed"] = _resolve_seed(args, required=False)
     try:
         return Config(**kwargs)
@@ -232,13 +231,11 @@ def _cmd_connect(args, argv) -> int:
     h, _text = _read_hypergraph(args)
     abc = _parse_triple(args.src)
     xyz = _parse_triple(args.dst)
-    forbidden = 0
-    if args.forbid:
-        try:
-            for part in args.forbid.replace(",", " ").split():
-                forbidden |= 1 << int(part)
-        except ValueError:
-            raise _UsageError(f"bad --forbid list {args.forbid!r}") from None
+    try:
+        forbid = [int(part) for part in (args.forbid or "").replace(",", " ").split()]
+    except ValueError:
+        raise _UsageError(f"bad --forbid list {args.forbid!r}") from None
+    forbidden = mask_of(h.check_vertex(v, "forbidden vertex") for v in forbid)
     seq = connect(h, abc, xyz, forbidden=forbidden, cap_m=args.cap_m, budget=args.budget)
     if args.json:
         payload = {"found": seq is not None}
@@ -274,8 +271,7 @@ def _cmd_tile(args, argv) -> int:
 def _cmd_cover(args, argv) -> int:
     h, text = _read_hypergraph(args)
     cfg = _config_from(args)
-    q = args.q if args.q is not None else cfg.q
-    result = cover_with_squared_paths(h, q, cfg.mu, seed=cfg.seed)
+    result = cover_with_squared_paths(h, cfg.q, cfg.mu, seed=cfg.seed)
     manifest = _manifest("cover", argv, config=cfg, seed=cfg.seed, input_text=text)
     payload = {
         "manifest": json.loads(manifest.to_json()),

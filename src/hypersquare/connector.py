@@ -17,6 +17,10 @@ from .certify import VertexSeq, is_squared_path
 from .core import Config, Hypergraph3, ResourceLimitError, bits_of, derive_seed, mask_of
 
 DEFAULT_BUDGET = 10**6
+# reservoir samples drawn before giving up on the size bound
+RESERVOIR_RETRIES = 64
+# largest n**m that count_connections will enumerate
+ENUMERATION_GUARD = 10**8
 
 
 @dataclasses.dataclass
@@ -48,12 +52,12 @@ def reservoir_probability(cfg: Config) -> float:
     return (1.0 - 3.0 / (10.0 * cfg.cap_m)) * cfg.theta_star**2
 
 
-def sample_reservoir(h: Hypergraph3, cfg: Config, max_retries: int = 64) -> Reservoir:
+def sample_reservoir(h: Hypergraph3, cfg: Config) -> Reservoir:
     """Independent vertex sample; resampled with a stepped seed while the
     realized size exceeds theta_star**2 * n."""
     p = reservoir_probability(cfg)
     bound = cfg.theta_star**2 * h.n
-    for attempt in range(max_retries):
+    for attempt in range(RESERVOIR_RETRIES):
         rng = random.Random(derive_seed(cfg.seed, "reservoir", attempt))
         members = 0
         for v in range(h.n):
@@ -62,7 +66,7 @@ def sample_reservoir(h: Hypergraph3, cfg: Config, max_retries: int = 64) -> Rese
         if members.bit_count() <= bound:
             return Reservoir(members)
     raise ResourceLimitError(
-        f"reservoir within size bound {bound:.2f} not found in {max_retries} samples"
+        f"reservoir within size bound {bound:.2f} not found in {RESERVOIR_RETRIES} samples"
     )
 
 
@@ -162,13 +166,13 @@ def connect(
     return _connect(h, abc, xyz, allowed, cap_m, budget)
 
 
-def count_connections(h: Hypergraph3, abc, xyz, m: int, guard: int = 10**8) -> int:
+def count_connections(h: Hypergraph3, abc, xyz, m: int) -> int:
     """Exact number of ordered interior m-tuples whose concatenation with the
     end triples is a squared path.  Guarded against infeasible enumeration."""
     abc, xyz = _check_endpoints(h, abc, xyz)
     if m < 0:
         raise ValueError("interior length must be nonnegative")
-    if h.n**m > guard:
+    if h.n**m > ENUMERATION_GUARD:
         raise ResourceLimitError(f"n**m = {h.n}**{m} exceeds the enumeration guard")
     pn = h._pn
     x, y, z = xyz
@@ -192,7 +196,6 @@ def connect_through_reservoir(
     abc,
     xyz,
     cap_m: int = 12,
-    budget: int = DEFAULT_BUDGET,
 ) -> VertexSeq | None:
     """Like connect, but internal vertices come only from the unused part of
     the reservoir; on success they are marked used."""
@@ -200,7 +203,7 @@ def connect_through_reservoir(
     if cap_m < 1:
         raise ValueError("cap_m must be at least 1")
     ends = mask_of(abc + xyz)
-    seq = _connect(h, abc, xyz, r.available & ~ends, cap_m, budget)
+    seq = _connect(h, abc, xyz, r.available & ~ends, cap_m, DEFAULT_BUDGET)
     if seq is not None:
         r.used |= mask_of(seq.vertices[3:-3])
     return seq

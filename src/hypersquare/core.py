@@ -75,9 +75,9 @@ class Hypergraph3:
     """Immutable 3-uniform hypergraph on vertices 0..n-1.
 
     The edges live only in the pair masks: ``pair_neighbors(u, v)`` returns
-    the bitset N(u, v) = {w : uvw is an edge}.  ``iter_edges()`` yields the
-    edges as sorted triples in lexicographic order, and ``edges`` is a fresh
-    frozenset of them on every access.  Build one from an edge list with
+    the bitset N(u, v) = {w : uvw is an edge}, and ``iter_edges()`` yields
+    the edges as sorted triples in lexicographic order, derived afresh from
+    the masks on every call.  Build one from an edge list with
     ``Hypergraph3(n, edges)``, or from the n x n matrix of those bitsets with
     ``Hypergraph3.from_pair_masks(n, pn)``.  Instances are safe to share
     across threads; nothing here mutates after construction.
@@ -150,15 +150,6 @@ class Hypergraph3:
             for v in range(u + 1, n - 1):
                 for w in bits_of(row[v] >> (v + 1) << (v + 1)):
                     yield (u, v, w)
-
-    @property
-    def edges(self) -> frozenset:
-        """Frozenset of sorted edge triples, derived afresh on every access.
-
-        Deliberately not cached: a cache would be a second copy of the edges
-        next to the pair masks.
-        """
-        return frozenset(self.iter_edges())
 
     @property
     def num_edges(self) -> int:
@@ -261,18 +252,20 @@ def is_k4(h: Hypergraph3, w: int, x: int, y: int, z: int) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class Config:
-    """Tunable constants for the construction pipeline.
+    """Tunable constants: the values of the paper's constant hierarchy that
+    the code reads.
 
-    Defaults are desk-scale choices: small enough that the threshold
-    fractions are meaningful at n <= 200, while keeping beta well below
-    alpha/8, which the auxiliary-graph minimum-degree arguments require.
+    alpha and tau set the tetrahedron factor's good-pair threshold
+    (3/4 + alpha) n and bad-vertex limit sqrt(tau) n; theta_star the
+    reservoir size and the absorbers' coverage target; cap_m the longest
+    connection; q and mu the cover's path length and reported leftover
+    bound.  Defaults are desk-scale choices, small enough that the
+    threshold fractions are meaningful at n <= 200.
     theta_star = 0 is allowed as a degenerate value and yields an empty
     reservoir.
     """
 
     alpha: float = 0.05
-    beta: float = 0.005
-    gamma: float = 0.003
     theta_star: float = 0.15
     cap_m: int = 12
     q: int = 8
@@ -281,16 +274,12 @@ class Config:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "tau", "mu"):
+        for name in ("alpha", "tau", "mu"):
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
                 raise ValueError(f"{name}={val} must lie in (0, 1)")
         if not 0.0 <= self.theta_star < 1.0:
             raise ValueError(f"theta_star={self.theta_star} must lie in [0, 1)")
-        if self.beta >= self.alpha / 8:
-            raise ValueError(
-                f"beta={self.beta} must be smaller than alpha/8={self.alpha / 8}"
-            )
         if self.cap_m < 1:
             raise ValueError("cap_m must be at least 1")
         if self.q < 4 or self.q % 4 != 0:

@@ -18,9 +18,6 @@ class PikhurkoPartition:
 
     parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-    def part_of(self, v: int) -> int:
-        return v % 4
-
 
 def complete(n: int) -> Hypergraph3:
     """All C(n, 3) triples: N(u, v) is every vertex but u and v."""

@@ -107,9 +107,6 @@ def _attempt_construction(h: Hypergraph3, cfg: Config, stats: dict) -> VertexSeq
             domain &= ~mask_of(s.vertices)
     timings["cover"] = time.perf_counter() - t0
     stats["cover_paths"] = len(paths)
-    stats["reservoir_budget_ok"] = bool(
-        cfg.cap_m * (len(paths) + 1) <= cfg.theta_star**4 * n
-    )
 
     t0 = time.perf_counter()
     ring = list(pa.vertices)

@@ -36,7 +36,6 @@ class GoodPairOracle:
     """Exact classification of vertex pairs against a pair-degree threshold."""
 
     threshold: int
-    bad_pairs: frozenset[tuple[int, int]]
     bad_mask: tuple[int, ...]
 
     def is_good(self, u: int, v: int) -> bool:
@@ -50,16 +49,14 @@ def classify_pairs(h: Hypergraph3, threshold: int) -> GoodPairOracle:
     """Pairs with degree below the threshold are bad, the rest good."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    bad = set()
     mask = [0] * h.n
     pn = h._pn
     for u in range(h.n):
         for v in range(u + 1, h.n):
             if pn[u][v].bit_count() < threshold:
-                bad.add((u, v))
                 mask[u] |= 1 << v
                 mask[v] |= 1 << u
-    return GoodPairOracle(threshold, frozenset(bad), tuple(mask))
+    return GoodPairOracle(threshold, tuple(mask))
 
 
 def prune_bad_vertices(h: Hypergraph3, tau: float, oracle: GoodPairOracle) -> frozenset[int]:
@@ -91,9 +88,6 @@ class Tiling:
     def weight(self) -> int:
         return sum(WEIGHTS[len(t)] for t in self.tiles)
 
-    def covered(self) -> set[int]:
-        return {v for t in self.tiles for v in t}
-
 
 def _tile_ok(h: Hypergraph3, oracle: GoodPairOracle, vs: tuple[int, ...]) -> bool:
     """Good and complete: no bad pair, and all triples present (vacuous for
@@ -114,9 +108,6 @@ class _SearchState:
         self.domain = sorted(domain)
         self.tiles: list[tuple[int, ...]] = []
         self.owner: dict[int, int] = {}
-
-    def weight(self) -> int:
-        return sum(WEIGHTS[len(t)] for t in self.tiles)
 
     def uncovered(self) -> list[int]:
         return [v for v in self.domain if v not in self.owner]
@@ -206,21 +197,26 @@ def _apply_split(state: _SearchState) -> bool:
     delta 3g - 11)."""
     best = None
     for didx, t in enumerate(state.tiles):
+        if len(t) < 3:
+            continue
+        # what the donor loses: a K4 keeps a K2, a K3 dissolves
+        loss = WEIGHTS[len(t)] - WEIGHTS.get(len(t) - 2, 0)
+        for x, y in itertools.permutations(t, 2):
+            rx = _receivers(state, x, didx)
+            ry = _receivers(state, y, didx)
+            for i in rx:
+                gx = GROW_GAIN[len(state.tiles[i])]
+                for j in ry:
+                    if i == j:
+                        continue
+                    delta = gx + GROW_GAIN[len(state.tiles[j])] - loss
+                    if delta <= 0:
+                        continue
+                    # sentinel -1 keeps two-vertex and three-vertex keys comparable
+                    key = (-delta, didx, x, y, i, j, -1, -1)
+                    if best is None or key < best:
+                        best = key
         if len(t) == 4:
-            for x, y in itertools.permutations(t, 2):
-                rx = _receivers(state, x, didx)
-                ry = _receivers(state, y, didx)
-                for i in rx:
-                    gx = GROW_GAIN[len(state.tiles[i])]
-                    for j in ry:
-                        if i == j:
-                            continue
-                        delta = gx + GROW_GAIN[len(state.tiles[j])] - 9
-                        if delta <= 0:
-                            continue
-                        key = (-delta, didx, x, y, i, j, -1, -1)
-                        if best is None or key < best:
-                            best = key
             for xs in itertools.permutations(t, 3):
                 recs = [_receivers(state, x, didx) for x in xs]
                 for i in recs[0]:
@@ -238,22 +234,6 @@ def _apply_split(state: _SearchState) -> bool:
                             key = (-delta, didx, xs[0], xs[1], i, j, xs[2], k)
                             if best is None or key < best:
                                 best = key
-    # sentinel -1 keeps two-vertex and three-vertex keys comparable
-        elif len(t) == 3:
-            for x, y in itertools.permutations(t, 2):
-                rx = _receivers(state, x, didx)
-                ry = _receivers(state, y, didx)
-                for i in rx:
-                    gx = GROW_GAIN[len(state.tiles[i])]
-                    for j in ry:
-                        if i == j:
-                            continue
-                        delta = gx + GROW_GAIN[len(state.tiles[j])] - 6
-                        if delta <= 0:
-                            continue
-                        key = (-delta, didx, x, y, i, j, -1, -1)
-                        if best is None or key < best:
-                            best = key
     if best is None:
         return False
     _, didx, x, y, i, j, z, k = best
@@ -301,7 +281,6 @@ def weighted_tiling(
     domain,
     oracle: GoodPairOracle,
     seed: int | None = None,
-    restarts: int | None = None,
 ) -> Tiling:
     """Best local optimum over several starts of the exchange-move search.
 
@@ -314,11 +293,10 @@ def weighted_tiling(
     domain = sorted(domain)
     for v in domain:
         h.check_vertex(v)
-    if restarts is None:
-        restarts = 48 if len(domain) <= 12 else 4
+    restarts = 48 if len(domain) <= 12 else 4
     base = seed if seed is not None else 0
     best: Tiling | None = None
-    for k in range(max(1, restarts)):
+    for k in range(restarts):
         order = list(domain)
         if k > 0 or seed is not None:
             random.Random(derive_seed(base, "tiling-restart", k)).shuffle(order)
@@ -403,12 +381,11 @@ def cover_with_squared_paths(
     mu: float,
     seed: int | None = None,
     domain=None,
-    k4_pool=None,
 ) -> CoverResult:
     """Greedy cover by vertex-disjoint squared paths with exactly q vertices.
 
-    Each path starts from an unused tetrahedron (taken from k4_pool when
-    given, otherwise found directly) and is extended one vertex at a time
+    Each path starts from the first unused tetrahedron in the seeded vertex
+    order and is extended one vertex at a time
     through the last-three-vertices transition rule, flipping to the other
     end when stuck.  Paths that cannot reach length q are discarded and
     their vertices stay uncovered.  The mu * n coverage bound is reported,
@@ -426,24 +403,10 @@ def cover_with_squared_paths(
         random.Random(seed).shuffle(order)
     pn = h._pn
     avail = dom_mask
-    pool = list(k4_pool) if k4_pool else []
-    pool_pos = 0
     paths: list[VertexSeq] = []
 
     while True:
-        start = None
-        while pool_pos < len(pool):
-            cand = tuple(sorted(pool[pool_pos]))
-            pool_pos += 1
-            if len(cand) != 4 or not h.has_edge(*cand[:3]) or not (
-                h.n3_mask(*cand[:3]) >> cand[3]
-            ) & 1:
-                raise ValueError(f"k4_pool entry {cand} is not a tetrahedron")
-            if all((avail >> v) & 1 for v in cand):
-                start = cand
-                break
-        if start is None:
-            start = _first_k4(h, avail, order)
+        start = _first_k4(h, avail, order)
         if start is None:
             break
         path = list(start)

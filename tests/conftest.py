@@ -18,8 +18,7 @@ def brute_squared_path(h: Hypergraph3, vertices) -> bool:
     vs = tuple(vertices)
     if len(set(vs)) != len(vs):
         return False
-    # h.edges is derived from the pair masks on every access
-    edges = h.edges
+    edges = set(h.iter_edges())
     if len(vs) == 3:
         return tuple(sorted(vs)) in edges
     for i in range(len(vs) - 3):
@@ -54,7 +53,7 @@ def brute_walk_count(adj: dict[int, set[int]], x: int, y: int, s: int) -> int:
 
 def exhaustive_tiling_weight(h: Hypergraph3, domain, oracle: GoodPairOracle) -> int:
     """Maximum weight over all tilings by good complete tiles of size 2-4."""
-    edges = h.edges
+    edges = set(h.iter_edges())
 
     def tile_ok(tile) -> bool:
         for a, b in itertools.combinations(tile, 2):

@@ -192,8 +192,8 @@ class TestAbsorbingPath:
 
     def test_impossible_join_raises(self):
         # two complete components; tuples in different components cannot join
-        left = complete(8).edges
-        right = [tuple(v + 8 for v in e) for e in complete(8).edges]
+        left = complete(8).iter_edges()
+        right = [tuple(v + 8 for v in e) for e in complete(8).iter_edges()]
         h = Hypergraph3(16, list(left) + list(right))
         cfg = Config(cap_m=4)
         fam = build_absorber_family(h, Reservoir(members=0), cfg, min_tuples=2)

@@ -100,7 +100,7 @@ def test_criterion_3_soundness_sweep():
         h = random_hypergraph(n, p, seed=derive_seed(MASTER_SEED, "sweep", trial))
         cfg = Config(seed=derive_seed(MASTER_SEED, "cfg", trial))
 
-        edges = sorted(h.edges)
+        edges = list(h.iter_edges())
         pair = disjoint_pair(edges)
         if pair is not None:
             seq = connect(h, pair[0], pair[1], cap_m=6)
@@ -245,7 +245,7 @@ def test_criterion_7_tiling_optimality():
 def test_criterion_8_connection_feasibility():
     start = time.perf_counter()
     h = dense_random(30, 0.85, seed=derive_seed(MASTER_SEED, "conn"))
-    edges = sorted(h.edges)
+    edges = list(h.iter_edges())
     rng = random.Random(derive_seed(MASTER_SEED, "connpairs"))
     worst = 0
     for _ in range(50):

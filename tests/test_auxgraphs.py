@@ -107,7 +107,7 @@ class TestGvw:
         assert g.num_edges == 6
 
     def test_missing_face(self):
-        h = Hypergraph3(6, set(complete(6).edges) - {(0, 2, 3)})
+        h = Hypergraph3(6, set(complete(6).iter_edges()) - {(0, 2, 3)})
         g = build_gvw(h, 0, 1)
         assert not g.has_edge(2, 3)
 

@@ -24,7 +24,7 @@ from conftest import brute_squared_path
 
 
 def drop(h: Hypergraph3, *triples) -> Hypergraph3:
-    return Hypergraph3(h.n, set(h.edges) - {tuple(sorted(t)) for t in triples})
+    return Hypergraph3(h.n, set(h.iter_edges()) - {tuple(sorted(t)) for t in triples})
 
 
 class TestSquaredPath:
@@ -187,7 +187,7 @@ class TestSquaredVWalk:
         for trial in range(120):
             n = rng.randint(8, 10)
             h = random_hypergraph(n, rng.choice([0.6, 0.8, 1.0]), seed=40000 + trial)
-            edges = sorted(h.edges)
+            edges = list(h.iter_edges())
             abc = rng.choice(edges) if edges else None
             if abc is None:
                 continue

@@ -92,8 +92,8 @@ class TestConnectCommand:
         assert out.strip() == "0 1 2 3 4 5"
 
     def test_none_exit2(self, capsys, monkeypatch):
-        left = complete(5).edges
-        right = [tuple(v + 5 for v in e) for e in complete(5).edges]
+        left = complete(5).iter_edges()
+        right = [tuple(v + 5 for v in e) for e in complete(5).iter_edges()]
         from hypersquare import Hypergraph3
 
         text = format_hypergraph(Hypergraph3(10, list(left) + list(right)))
@@ -105,6 +105,29 @@ class TestConnectCommand:
         )
         assert code == EXIT_FAILURE
         assert out.strip() == "NONE"
+
+    def test_forbid_in_range_accepted(self, capsys, monkeypatch):
+        text = format_hypergraph(complete(10))
+        code, out, _ = run_cli(
+            capsys,
+            monkeypatch,
+            ["connect", "--from", "0,1,2", "--to", "3,4,5", "--forbid", "6,7"],
+            stdin_text=text,
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "0 1 2 3 4 5"
+
+    def test_forbid_out_of_range_rejected(self, capsys, monkeypatch):
+        text = format_hypergraph(complete(10))
+        code, out, err = run_cli(
+            capsys,
+            monkeypatch,
+            ["connect", "--from", "0,1,2", "--to", "3,4,5", "--forbid", "6 99"],
+            stdin_text=text,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "forbidden vertex 99" in err
 
 
 class TestOracleCommand:
@@ -240,8 +263,8 @@ class TestUsage:
         code, _, err = run_cli(
             capsys,
             monkeypatch,
-            ["construct", "--seed", "1", "--beta", "0.9"],
+            ["construct", "--seed", "1", "--tau", "1.5"],
             stdin_text=text,
         )
         assert code == EXIT_USAGE
-        assert "beta" in err
+        assert "tau" in err

@@ -21,8 +21,8 @@ from hypersquare.core import mask_of
 
 
 def two_components() -> Hypergraph3:
-    left = complete(5).edges
-    right = [tuple(v + 5 for v in e) for e in complete(5).edges]
+    left = complete(5).iter_edges()
+    right = [tuple(v + 5 for v in e) for e in complete(5).iter_edges()]
     return Hypergraph3(10, list(left) + list(right))
 
 
@@ -43,14 +43,14 @@ class TestConnect:
             connect(complete(10), (0, 1, 2), (2, 3, 4))
 
     def test_non_edge_rejected(self):
-        h = Hypergraph3(10, set(complete(10).edges) - {(0, 1, 2)})
+        h = Hypergraph3(10, set(complete(10).iter_edges()) - {(0, 1, 2)})
         with pytest.raises(ValueError):
             connect(h, (0, 1, 2), (3, 4, 5))
 
     def test_interior_avoids_forbidden(self):
         h = complete(12)
         # removing the direct windows forces an interior
-        edges = set(h.edges) - {(2, 3, 4), (1, 2, 3)}
+        edges = set(h.iter_edges()) - {(2, 3, 4), (1, 2, 3)}
         h2 = Hypergraph3(12, edges)
         forbidden = {6, 7}
         seq = connect(h2, (0, 1, 2), (3, 4, 5), forbidden=forbidden)
@@ -73,7 +73,7 @@ class TestConnect:
         for trial in range(80):
             n = rng.randint(7, 11)
             h = random_hypergraph(n, rng.choice([0.6, 0.8, 1.0]), seed=trial)
-            edges = sorted(h.edges)
+            edges = list(h.iter_edges())
             if len(edges) < 2:
                 continue
             e1 = rng.choice(edges)
@@ -96,7 +96,7 @@ class TestCountConnections:
         rng = random.Random(21)
         for trial in range(40):
             h = random_hypergraph(8, 0.7, seed=trial)
-            edges = sorted(h.edges)
+            edges = list(h.iter_edges())
             if not edges:
                 continue
             e1 = rng.choice(edges)
@@ -163,7 +163,7 @@ class TestReservoir:
 class TestConnectThroughReservoir:
     def test_interior_stays_in_reservoir(self):
         h = complete(30)
-        edges = set(h.edges) - {(2, 3, 4), (1, 2, 3)}  # force an interior
+        edges = set(h.iter_edges()) - {(2, 3, 4), (1, 2, 3)}  # force an interior
         h2 = Hypergraph3(30, edges)
         r = Reservoir(members=mask_of(range(20, 30)))
         seq = connect_through_reservoir(h2, r, (0, 1, 2), (3, 4, 5))
@@ -186,7 +186,7 @@ class TestConnectThroughReservoir:
         assert seq is not None and len(seq) == 6
 
     def test_exhausted_reservoir_none_when_direct_invalid(self):
-        edges = set(complete(30).edges) - {(2, 3, 4)}
+        edges = set(complete(30).iter_edges()) - {(2, 3, 4)}
         h = Hypergraph3(30, edges)
         r = Reservoir(members=0, used=0)
         assert connect_through_reservoir(h, r, (0, 1, 2), (3, 4, 5)) is None
@@ -194,7 +194,7 @@ class TestConnectThroughReservoir:
     def test_dense_instances_short_interiors(self):
         h = dense_random(30, 0.85, seed=5)
         rng = random.Random(22)
-        edges = sorted(h.edges)
+        edges = list(h.iter_edges())
         r = Reservoir(members=h.full_mask)
         for _ in range(20):
             e1 = rng.choice(edges)

@@ -23,7 +23,7 @@ from conftest import brute_has_hamiltonian
 
 
 def relabel(h: Hypergraph3, perm: list[int]) -> Hypergraph3:
-    return Hypergraph3(h.n, [tuple(perm[v] for v in e) for e in h.edges])
+    return Hypergraph3(h.n, [tuple(perm[v] for v in e) for e in h.iter_edges()])
 
 
 class TestConstruct:
@@ -72,7 +72,7 @@ class TestK4Adjacency:
     @given(st.integers(0, 10), st.floats(0.0, 1.0), st.integers(0, 10**6))
     def test_matches_brute_force(self, n, p, seed):
         h = random_hypergraph(n, p, seed)
-        edges = h.edges
+        edges = set(h.iter_edges())
         want = [0] * n
         for quad in itertools.combinations(range(n), 4):
             if all(t in edges for t in itertools.combinations(quad, 3)):
@@ -89,7 +89,7 @@ class TestCycleOracle:
         assert certify_hamiltonian(complete(5), res.witness)
 
     def test_isolated_vertex_no(self):
-        edges = [e for e in complete(6).edges if 5 not in e]
+        edges = [e for e in complete(6).iter_edges() if 5 not in e]
         assert oracle_has_squared_hamiltonian(Hypergraph3(6, edges)).status == "no"
 
     def test_pikhurko8_no(self, pik8):

@@ -17,37 +17,43 @@ from hypersquare import (
     random_hypergraph,
     weighted_tiling,
 )
-from hypersquare.core import mask_of
+from hypersquare.core import bits_of, mask_of
 from hypersquare.tiling import WEIGHTS, _tile_ok
 from conftest import exhaustive_tiling_weight
 
 
+def bad_pairs(oracle, n):
+    """The bad pairs u < v, read off the oracle's bad masks."""
+    return {(u, v) for u in range(n) for v in bits_of(oracle.bad_mask[u]) if u < v}
+
+
 class TestClassifyPairs:
     def test_complete8_threshold6(self):
-        assert classify_pairs(complete(8), 6).bad_pairs == frozenset()
+        assert bad_pairs(classify_pairs(complete(8), 6), 8) == set()
 
     def test_complete8_threshold7(self):
         oracle = classify_pairs(complete(8), 7)
-        assert len(oracle.bad_pairs) == 28
+        assert len(bad_pairs(oracle, 8)) == 28
 
     def test_pikhurko8_threshold5(self, pik8):
         h, _ = pik8
         oracle = classify_pairs(h, 5)
-        expected = frozenset(
+        expected = {
             (u, v)
             for u in range(8)
             for v in range(u + 1, 8)
             if pair_degree(h, u, v) == 4
-        )
-        assert oracle.bad_pairs == expected
+        }
+        assert bad_pairs(oracle, 8) == expected
         assert expected  # the construction really has degree-4 pairs
 
     def test_masks_match_set(self):
         h = random_hypergraph(9, 0.5, seed=40)
         oracle = classify_pairs(h, 3)
+        bad = bad_pairs(oracle, 9)
         for u in range(9):
             for v in range(u + 1, 9):
-                assert oracle.is_good(u, v) == ((u, v) not in oracle.bad_pairs)
+                assert oracle.is_good(u, v) == ((u, v) not in bad)
 
 
 class TestPrune:
@@ -66,7 +72,7 @@ class TestPrune:
             mask[v] |= 1 << u
         from hypersquare.tiling import GoodPairOracle
 
-        oracle = GoodPairOracle(1, bad, tuple(mask))
+        oracle = GoodPairOracle(1, tuple(mask))
         survivors = prune_bad_vertices(h, 0.04, oracle)  # limit = 2
         assert survivors == frozenset(range(1, 10))
 
@@ -201,12 +207,6 @@ class TestCover:
         res = cover_with_squared_paths(complete(16), 4, 0.9, domain=range(8))
         assert all(v < 8 for p in res.paths for v in p.vertices)
         assert res.uncovered <= set(range(8))
-
-    def test_k4_pool_consumed_first(self):
-        h = complete(16)
-        pool = [(8, 9, 10, 11)]
-        res = cover_with_squared_paths(h, 4, 0.9, k4_pool=pool)
-        assert tuple(sorted(res.paths[0].vertices)) == (8, 9, 10, 11)
 
     def test_deterministic(self):
         h = random_hypergraph(14, 0.8, seed=46)
