@@ -229,7 +229,9 @@ def build_absorbing_path(
         # tuple would arrive with one of its vertices already on the path
         ends = mask_of(seq[-3:]) | mask_of(t[:3])
         forbidden = (r.members | used | family_mask) & ~ends
-        joined = connect(h, tuple(seq[-3:]), t[:3], forbidden=forbidden, cap_m=cfg.cap_m)
+        joined = connect(
+            h, tuple(seq[-3:]), t[:3], forbidden=forbidden, cap_m=cfg.cap_m
+        )
         if joined is None:
             raise PathConstructionError(
                 f"cannot join tuple {i - 1} to tuple {i} "

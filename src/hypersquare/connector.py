@@ -66,7 +66,8 @@ def sample_reservoir(h: Hypergraph3, cfg: Config) -> Reservoir:
         if members.bit_count() <= bound:
             return Reservoir(members)
     raise ResourceLimitError(
-        f"reservoir within size bound {bound:.2f} not found in {RESERVOIR_RETRIES} samples"
+        f"reservoir within size bound {bound:.2f} not found in "
+        f"{RESERVOIR_RETRIES} samples"
     )
 
 

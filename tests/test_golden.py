@@ -218,7 +218,9 @@ def cover_record(spec, q, mu, seed, step):
     h = _instance(spec)
     res = cover_with_squared_paths(h, q, mu, seed=seed, domain=range(0, h.n, step))
     paths = [p.vertices for p in res.paths]
-    return text_digest(repr((paths, sorted(res.uncovered), res.mu_bound, res.within_bound)))
+    return text_digest(
+        repr((paths, sorted(res.uncovered), res.mu_bound, res.within_bound))
+    )
 
 
 # The stats the construct digests cover, named so that added counters leave
