@@ -385,11 +385,11 @@ def cover_with_squared_paths(
     """Greedy cover by vertex-disjoint squared paths with exactly q vertices.
 
     Each path starts from the first unused tetrahedron in the seeded vertex
-    order and is extended one vertex at a time
-    through the last-three-vertices transition rule, flipping to the other
-    end when stuck.  Paths that cannot reach length q are discarded and
-    their vertices stay uncovered.  The mu * n coverage bound is reported,
-    not enforced.
+    order and is extended one vertex at a time through the
+    last-three-vertices transition rule, flipping to the other end when
+    stuck.  Paths that cannot reach length q are discarded and their
+    vertices stay uncovered.  The mu * n coverage bound is reported, not
+    enforced.
     """
     if q < 4 or q % 4 != 0:
         raise ValueError("q must be a positive multiple of 4")
