@@ -1,7 +1,7 @@
 import io
 import json
 
-from hypersquare import complete, format_hypergraph, parse_hypergraph
+from hypersquare import Config, complete, format_hypergraph, parse_hypergraph
 from hypersquare.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -223,6 +223,19 @@ class TestTileCoverAbsorb:
         code, out, _ = run_cli(capsys, monkeypatch, ["absorb", "--demo", "--n", "20"])
         assert code == EXIT_OK
         assert "before:" in out and "after:" in out
+
+    def test_every_config_flag_reaches_the_manifest(self, capsys, monkeypatch):
+        knobs = {"alpha": 0.06, "theta_star": 0.2, "cap_m": 10, "q": 12, "tau": 0.02, "mu": 0.2}
+        argv = ["tile", "--seed", "3"]
+        for name, val in knobs.items():
+            argv += ["--" + name.replace("_", "-"), str(val)]
+        text = format_hypergraph(complete(8))
+        code, out, _ = run_cli(capsys, monkeypatch, argv, stdin_text=text)
+        assert code == EXIT_OK
+        config = json.loads(out)["manifest"]["config"]
+        # compared as JSON text, so an int knob parsed as a float shows
+        want = Config(seed=3, **knobs).as_dict()
+        assert json.dumps(config, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestAuxCommand:
