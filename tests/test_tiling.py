@@ -18,7 +18,7 @@ from hypersquare import (
     weighted_tiling,
 )
 from hypersquare.core import bits_of, mask_of
-from hypersquare.tiling import WEIGHTS, _tile_ok
+from hypersquare.tiling import WEIGHTS, _SearchState, _apply_split, _tile_ok
 from conftest import exhaustive_tiling_weight
 
 
@@ -92,6 +92,19 @@ class TestPrune:
         alive = mask_of(survivors)
         for v in survivors:
             assert oracle.bad_count(v, alive) < limit
+
+
+class TestSplitMove:
+    def test_k4_dissolving_ties_with_k3_dissolving(self):
+        # all tiles are good and complete here.  Three K4 vertices into three
+        # K3s gain 15 - 11 = 4; two K3 vertices into two K3s gain 10 - 6 = 4;
+        # the tie goes to the lower donor index, the K4
+        h = complete(16)
+        state = _SearchState(h, classify_pairs(h, 0), range(16))
+        for t in [(0, 1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12), (13, 14, 15)]:
+            state.add_tile(t)
+        assert _apply_split(state)
+        assert state.tiles == [(0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12), (13, 14, 15)]
 
 
 class TestWeightedTiling:
