@@ -11,7 +11,9 @@ that kept a per-vertex index of tuples and located each tuple in the host path
 by a slice scan.  Both the construct records and the ``absorb --demo`` digests
 were taken again, on the code whose config still carried ``beta`` and
 ``gamma`` and whose stats carried ``reservoir_budget_ok``, so that they cover
-only the named stats and the output after the manifest.
+only the named stats and the output after the manifest.  The oracle digests
+were computed from the cycle oracle that ran the six-partner window test as a
+loop over every unplaced vertex and memoized every dead end.
 """
 
 import functools
@@ -31,6 +33,8 @@ from hypersquare import (
     dense_instance,
     dense_random,
     format_hypergraph,
+    oracle_has_perfect_k4_tiling,
+    oracle_has_squared_hamiltonian,
     pikhurko,
     random_hypergraph,
     weighted_tiling,
@@ -175,6 +179,76 @@ COVER = {
     (('dense_random', 60, 0.9, 1), 4, 0.1, 5, 2): 'cab0b123f9d3501cee924096348545e0ba87ea59efbc3e9842f535f55ca54ba9',
 }
 
+# Instances for the oracle digests: ("dense_instance", n, fraction, seed) or
+# ("pikhurko", n).  sha256 of (status, witness) of the exact oracle with no
+# time limit; a cycle witness is hashed as its vertex tuple.
+ORACLE_CYCLE = {
+    ('dense_instance', 10, 0.5, 0): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 10, 0.5, 1): 'ac2bf1870beed30cb4e035b74ed1acf432ddb71b4344116c6ac2c6d3ba052e1e',
+    ('dense_instance', 10, 0.5, 2): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 10, 0.5, 3): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 10, 0.6, 0): '8101dd8500c1686827ece9d924cd3b853385b8f273c1535b9ba58510dd1eaa13',
+    ('dense_instance', 10, 0.6, 1): 'd4ab93cb9dddd4a6ace5c1639570b787c7aa91a15cbc258fab62f0e34aaa0107',
+    ('dense_instance', 10, 0.6, 2): '9757574cb0633db0019886a38f5330f86b85bed9a2c55dd53c1e9ee9d104300a',
+    ('dense_instance', 10, 0.6, 3): 'fcf718e365f17b641b661c71bb106fb5d12670d9c2bf7c3bdabbfc5badc56bce',
+    ('dense_instance', 10, 0.7, 0): '755aa018eec6bd26a410ce785d0777bb55f2b2d74016391c0ce0964ad62ffde4',
+    ('dense_instance', 10, 0.7, 1): 'bbc3c5ae38291d07cf89d90346a1bc33bc84c6a4f2923a9ced44b52928bcbb53',
+    ('dense_instance', 10, 0.7, 2): '70a7ce9ccd818a0ea2196bff3de383abee5daf00cee5a128058cdd1f55078db1',
+    ('dense_instance', 10, 0.7, 3): '648ca1dd41fc18feb6223e83aa3a00f677275fc083667d5dbac5ba845b977d27',
+    ('dense_instance', 12, 0.5, 0): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 12, 0.5, 1): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 12, 0.5, 2): 'c7b226959c0b49353af38ae551e8f2002313a5f8e50817698f3270964062e70f',
+    ('dense_instance', 12, 0.5, 3): 'd9dae8bb76716e8ea537e893d067434426fda822cb89210c4a38888edce1bffc',
+    ('dense_instance', 12, 0.6, 0): '50645faf62dd2f8207524462fc47f622003f82458e649a271807dd1f3fdc4a66',
+    ('dense_instance', 12, 0.6, 1): '9638834ab04df53162ee66a50e5ddf6d50febe08406f08db7d65d009a4a80c11',
+    ('dense_instance', 12, 0.6, 2): 'a1e241d494a773e8a9435904b0c56ab128e1b66ab2c523fc7069f9cad278e985',
+    ('dense_instance', 12, 0.6, 3): 'b78e0b69c13b4941a335bde8aef67f72e03bd23c3d438677d4b33807f484f528',
+    ('dense_instance', 12, 0.7, 0): 'ea255cb68449bdf50045aebd65711e8dc2ed218e13d7e0ba4967895d859cbcc3',
+    ('dense_instance', 12, 0.7, 1): '95fa13b75da68e25cee47c08e69218000c54918b9e437511b0dd757c58971055',
+    ('dense_instance', 12, 0.7, 2): '541a18a058a85c2e545fe746d6c66431b44b042590c5b97ae3a286ea153d40f2',
+    ('dense_instance', 12, 0.7, 3): '327f379657dd3a71373f36ce6b9a2994fb1853ea4aa46f1a81786b8ef5ab7348',
+    ('dense_instance', 14, 0.5, 0): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 14, 0.5, 1): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 14, 0.5, 2): '0baadb303907cd37ad10163debf4881aef8d167fa92657132c8bfc51b8287af1',
+    ('dense_instance', 14, 0.5, 3): 'cc3d55228c2f45107b295342d8e4370bca6b0a9f68d2ba0de22a6b5353920e90',
+    ('dense_instance', 14, 0.6, 0): '0e5e77f5a9df3d092c2abcd014aca45896c67c2c7a23789740a55f271607c6f8',
+    ('dense_instance', 14, 0.6, 1): 'd668d3edbe4f0eebdc076452a8559503bdac12078371c244c59d69356765acd9',
+    ('dense_instance', 14, 0.6, 2): '7a000beb40756df69e4ecb32fba51f8132c79cb50a6dcf8ac72303ac93e66e8d',
+    ('dense_instance', 14, 0.6, 3): '9fec6dc8d9477a979dad09ca387655a8667eb5f72462a2ea4b7db6e580e4b5be',
+    ('dense_instance', 14, 0.7, 0): 'f703d1e281878fbcde1c66c296fabcd2b5a07d1f876f93fa2947d7c454ebcacc',
+    ('dense_instance', 14, 0.7, 1): 'ab0f45120871dc8d7f742dfaf985ac07b82364581c4d14d34d18e76af8f11264',
+    ('dense_instance', 14, 0.7, 2): 'c3610a9f311d6f788c98472b09b0dca33d3e9c0570d6e5dc13d71418f14ea7e5',
+    ('dense_instance', 14, 0.7, 3): 'b26e9fa34c0d8d96c59f480ded3898f915893141a878748a4dd22e4c2ec51078',
+    ('dense_instance', 16, 0.5, 0): '58e3d21510cf18da30323cabc405f1f54528b62e9dc38d2c9b5f3b110f2c91c1',
+    ('dense_instance', 16, 0.5, 1): '3aec1fc4088ca6fde65b6b84c6dbab6550f855125bf97b96ecbef26b0ec461d3',
+    ('dense_instance', 16, 0.5, 2): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 16, 0.5, 3): '7517069decbfe4c0b55bd8a351397aa646fcca74dbaed028e2d915dee3d9b64b',
+    ('dense_instance', 16, 0.6, 0): '0119dd14c14c57970a54b74791d65aba5610b6d310e26625166047ef79f68e3a',
+    ('dense_instance', 16, 0.6, 1): '0c239d93468dc749fd33d1d3f9624ec2f422b99343fc6d9df8b48e5d0204db31',
+    ('dense_instance', 16, 0.6, 2): '09d1240d23df920ade1d5a206b4f4f46c6bc2f16b3840f5e2cc9256b32432706',
+    ('dense_instance', 16, 0.6, 3): '3d53a84fea201dacd86a7f22fdd0e2844d41530edca8aa875530ee9a0df09431',
+    ('dense_instance', 16, 0.7, 0): 'd847e0b8059390e0c4851fc2addc5a1995fed1284719d08a5c4f5cff1f3560ab',
+    ('dense_instance', 16, 0.7, 1): '1ba2d0558062e7120cb2681b810bb82a48261a06354ae7c5d6920e4c87faaca2',
+    ('dense_instance', 16, 0.7, 2): '4f74b03fdf028e80db4bc5dd869141e3bb30323f511c292b7904a6e71edc774d',
+    ('dense_instance', 16, 0.7, 3): 'eee318726fd9aba2c1828985146a62ddae31fe1fab25e521fbaf610d5817fa2b',
+    ('pikhurko', 8): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('pikhurko', 12): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('pikhurko', 16): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+}
+ORACLE_TILING = {
+    ('dense_instance', 12, 0.5, 0): '5634ae3d52581b51baa371417dc0a108b23ea98dbc95e0151f0836e3910112a5',
+    ('dense_instance', 12, 0.5, 1): 'dac9dc22c2975dfb68ad4f845bc1879f48a0115d9a076268dbbacf86e35b7d2c',
+    ('dense_instance', 12, 0.6, 0): 'efc83448f7626c2cfd6ea3ff2849325faf5dfec1d31a02b7ac1dd6b25343caed',
+    ('dense_instance', 12, 0.6, 1): '18a44c5e62d5a6abbe7fb185c5989190dd15f002dbcf4b8319fbcbdef6ccb1bd',
+    ('dense_instance', 16, 0.5, 0): '6a2d99cb100de3ab133ccd77c79240387aab2a8c2408ea97209ab143540b8c7d',
+    ('dense_instance', 16, 0.5, 1): '8c6a631e1c7e74ea4eae4afa0351b6c30b24ae1159becec3f15efd27aec1581a',
+    ('dense_instance', 16, 0.6, 0): '711ce244b5f660d9ac13d387d965b444c7db11c191f6e5bbeddfec54bcc8da0b',
+    ('dense_instance', 16, 0.6, 1): 'bb1effd93ca642a2db52690f1d2a529ff0fbc92f13a00ef60c6bfa7e7ddd2d19',
+    ('pikhurko', 8): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('pikhurko', 12): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('pikhurko', 16): '8ec32b4ed51d81576ae09dba95bf4b259a2d81f51e522ce70c1134bad300dbad',
+}
+
 
 def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -191,6 +265,8 @@ def _instance(spec):
         return complete(*args)
     if kind == "pikhurko":
         return pikhurko(*args)[0]
+    if kind == "dense_instance":
+        return dense_instance(*args)
     return _dense_random(*args)
 
 
@@ -223,6 +299,17 @@ def cover_record(spec, q, mu, seed, step):
     return text_digest(
         repr((paths, sorted(res.uncovered), res.mu_bound, res.within_bound))
     )
+
+
+def oracle_cycle_record(spec):
+    res = oracle_has_squared_hamiltonian(_instance(spec), time_limit=None)
+    witness = res.witness.vertices if res.witness is not None else None
+    return text_digest(repr((res.status, witness)))
+
+
+def oracle_tiling_record(spec):
+    res = oracle_has_perfect_k4_tiling(_instance(spec), time_limit=None)
+    return text_digest(repr((res.status, res.witness)))
 
 
 # The stats the construct digests cover, named so that added counters leave
@@ -296,6 +383,16 @@ def test_almost_k4_factor(cell):
 @pytest.mark.parametrize("cell", list(COVER))
 def test_cover_with_squared_paths(cell):
     assert cover_record(*cell) == COVER[cell]
+
+
+@pytest.mark.parametrize("cell", list(ORACLE_CYCLE))
+def test_oracle_cycle(cell):
+    assert oracle_cycle_record(cell) == ORACLE_CYCLE[cell]
+
+
+@pytest.mark.parametrize("cell", list(ORACLE_TILING))
+def test_oracle_tiling(cell):
+    assert oracle_tiling_record(cell) == ORACLE_TILING[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(ABSORB_DEMO))
