@@ -241,9 +241,17 @@ def oracle_has_squared_hamiltonian(
 
     Vertex 0 is pinned first and the direction fixed by second < last, which
     removes the 2n cyclic symmetries.  States are the last three placed
-    vertices; a branch dies when some unplaced vertex no longer has six
-    potential tetrahedron partners among the usable vertices, and failed
-    (placed-set, state) pairs are memoized.  Intended for n up to about 16.
+    vertices, and failed (placed-set, state) pairs are memoized.  Two prunes
+    cut a branch before it is searched:
+
+    - closing vertex: the last vertex closes the windows through 0, v1 and
+      v2 (the first three), so it lies in N(0, v1) & N(0, v2) & N(v1, v2)
+      above v1; a branch whose unplaced vertices miss that set dies;
+    - window: a branch dies when some unplaced vertex no longer has six
+      potential tetrahedron partners among the usable vertices.
+
+    A child with no candidate is dropped before the memo sees it.  Intended
+    for n up to about 20.
     """
     n = h.n
     if n < 5:
@@ -256,58 +264,64 @@ def oracle_has_squared_hamiltonian(
 
     deadline = _Deadline(time_limit)
     full = h.full_mask
-
-    def close_ok(p: int, q: int, r: int, v1: int, v2: int) -> bool:
-        return bool(
-            (pn[p][q] >> 0) & (pn[p][r] >> 0) & (pn[q][r] >> 0) & 1
-        ) and bool(
-            (pn[q][r] >> v1) & (pn[q][0] >> v1) & (pn[r][0] >> v1) & 1
-        ) and bool(
-            (pn[r][0] >> v2) & (pn[r][v1] >> v2) & (pn[0][v1] >> v2) & 1
-        )
+    # Only these vertices can fail the window test.  Below depth n the scope
+    # holds n - depth + min(depth, 6) vertices, so a vertex sharing a
+    # tetrahedron with every other vertex keeps at least need mates in it.
+    deficient = mask_of(v for v in range(n) if k4adj[v] | (1 << v) != full)
 
     def search(v1: int, v2: int) -> tuple[int, ...] | None:
         failed: set[tuple[int, int, int, int]] = set()
         order: list[int] = []
+        head = 1 | (1 << v1) | (1 << v2)
+        row0, row1 = pn[0], pn[v1]
+        # the last vertex completes the window (last, 0, v1, v2)
+        close = row0[v1] & row0[v2] & row1[v2] & ~((2 << v1) - 1)
 
-        def rec(used: int, p: int, q: int, r: int, depth: int) -> bool:
-            if deadline.expired():
-                raise _Timeout
-            if depth == n:
-                return r > v1 and close_ok(p, q, r, v1, v2)
+        def rec(used: int, p: int, q: int, r: int, cands: int, depth: int) -> bool:
+            # cands is nonempty and some unplaced vertex lies in close
             key = (used, p, q, r)
             if key in failed:
                 return False
-            cands = pn[p][q] & pn[p][r] & pn[q][r] & ~used
-            if cands:
-                unused = full & ~used
+            if deadline.expired():
+                raise _Timeout
+            unused = full & ~used
+            if unused & deficient:
                 # any unplaced vertex draws its six window mates from the
                 # unplaced vertices, the frontier p, q, r, and the fixed head
-                scope = (
-                    unused
-                    | (1 << p)
-                    | (1 << q)
-                    | (1 << r)
-                    | 0b1
-                    | (1 << v1)
-                    | (1 << v2)
-                )
-                for u in bits_of(unused):
+                scope = unused | (1 << p) | (1 << q) | (1 << r) | head
+                for u in bits_of(unused & deficient):
                     if (k4adj[u] & scope).bit_count() < need:
                         cands = 0
                         break
-            for u in bits_of(cands):
-                order.append(u)
-                if rec(used | (1 << u), q, r, u, depth + 1):
-                    return True
-                order.pop()
+            row_q, row_r = pn[q], pn[r]
+            qr = row_q[r]
+            depth += 1
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                u = low.bit_length() - 1
+                nxt = qr & row_q[u] & row_r[u]
+                if depth == n:
+                    # u, the one unplaced vertex, is in close; the windows
+                    # (q, r, u, 0) and (r, u, 0, v1) are left to check
+                    if nxt & (row_r[u] >> v1) & (row_r[0] >> v1) & 1:
+                        order.append(u)
+                        return True
+                    continue
+                used_u = used | low
+                nxt &= ~used_u
+                if nxt and close & ~used_u:
+                    order.append(u)
+                    if rec(used_u, q, r, u, nxt, depth):
+                        return True
+                    order.pop()
             if len(failed) < 2_000_000:
                 failed.add(key)
             return False
 
-        base = 1 | (1 << v1) | (1 << v2)
+        cands = row0[v1] & row0[v2] & row1[v2] & ~head
         try:
-            if rec(base, 0, v1, v2, 3):
+            if cands and close and rec(head, 0, v1, v2, cands, 3):
                 return (0, v1, v2) + tuple(order)
             return None
         finally:
