@@ -114,11 +114,53 @@ class TestCycleOracle:
             b = oracle_has_squared_hamiltonian(relabel(h, perm), 30).status
             assert a == b
 
+    def test_prunes_match_brute_force(self):
+        # n <= 8 and sparse enough that some searched instances have a vertex
+        # sharing no tetrahedron with some other vertex, so the window test's
+        # per-vertex loop runs
+        deficient = 0
+        for p in (0.4, 0.6, 0.75):
+            for n in range(5, 9):
+                for seed in range(40):
+                    h = random_hypergraph(n, p, seed=1000 * n + seed)
+                    adj = _k4_adjacency(h)
+                    if all(a.bit_count() >= min(6, n - 1) for a in adj):
+                        deficient += any(a | (1 << v) != h.full_mask for v, a in enumerate(adj))
+                    res = oracle_has_squared_hamiltonian(h, time_limit=None)
+                    assert res.status == ("yes" if brute_has_hamiltonian(h) else "no")
+                    if res.status == "yes":
+                        vs = res.witness.vertices
+                        assert vs[0] == 0 and vs[1] < vs[-1]
+                        assert certify_hamiltonian(h, res.witness)
+        assert deficient
+
+    def test_planted_cycle_found(self):
+        # the square of a relabelled Hamiltonian cycle, plus a few random
+        # edges: each vertex shares a tetrahedron with barely more than its
+        # six window mates, so the window test is tight on every branch
+        rng = random.Random(54)
+        for trial in range(30):
+            n = rng.randint(8, 12)
+            order = list(range(n))
+            rng.shuffle(order)
+            edges = {
+                tuple(sorted((order[i], order[(i + a) % n], order[(i + b) % n])))
+                for i in range(n)
+                for a, b in ((1, 2), (1, 3), (2, 3))
+            }
+            extra = [t for t in itertools.combinations(range(n), 3) if t not in edges]
+            edges.update(rng.sample(extra, rng.randint(0, n)))
+            h = Hypergraph3(n, edges)
+            res = oracle_has_squared_hamiltonian(h, time_limit=None)
+            assert res.status == "yes"
+            assert certify_hamiltonian(h, res.witness)
+
     def test_timeout_outcome(self):
         res = oracle_has_squared_hamiltonian(complete(14), time_limit=0.0)
         assert res.status in ("timeout", "yes")  # precheck may answer instantly
-        res2 = oracle_has_squared_hamiltonian(pikhurko(12)[0], time_limit=0.0)
-        assert res2.status in ("timeout", "no")
+        # pikhurko(20) has no such cycle, and refuting it takes seconds
+        res2 = oracle_has_squared_hamiltonian(pikhurko(20)[0], time_limit=0.0)
+        assert res2.status == "timeout"
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -146,6 +188,10 @@ class TestTilingOracle:
 
     def test_complete16_yes(self):
         assert oracle_has_perfect_k4_tiling(complete(16)).status == "yes"
+
+    def test_timeout_outcome(self):
+        res = oracle_has_perfect_k4_tiling(pikhurko(20)[0], time_limit=0.0)
+        assert res.status == "timeout"
 
     def test_isomorphism_invariance(self):
         rng = random.Random(52)
