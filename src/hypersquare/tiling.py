@@ -201,12 +201,11 @@ def _apply_split(state: _SearchState) -> bool:
             continue
         # what the donor loses: a K4 keeps a K2, a K3 dissolves
         loss = WEIGHTS[len(t)] - WEIGHTS.get(len(t) - 2, 0)
+        receivers = {x: _receivers(state, x, didx) for x in t}
         for x, y in itertools.permutations(t, 2):
-            rx = _receivers(state, x, didx)
-            ry = _receivers(state, y, didx)
-            for i in rx:
+            for i in receivers[x]:
                 gx = GROW_GAIN[len(state.tiles[i])]
-                for j in ry:
+                for j in receivers[y]:
                     if i == j:
                         continue
                     delta = gx + GROW_GAIN[len(state.tiles[j])] - loss
@@ -218,7 +217,7 @@ def _apply_split(state: _SearchState) -> bool:
                         best = key
         if len(t) == 4:
             for xs in itertools.permutations(t, 3):
-                recs = [_receivers(state, x, didx) for x in xs]
+                recs = [receivers[x] for x in xs]
                 for i in recs[0]:
                     g0 = GROW_GAIN[len(state.tiles[i])]
                     for j in recs[1]:
