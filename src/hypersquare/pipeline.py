@@ -274,7 +274,8 @@ def oracle_has_squared_hamiltonian(
         order: list[int] = []
         head = 1 | (1 << v1) | (1 << v2)
         row0, row1 = pn[0], pn[v1]
-        # the last vertex completes the window (last, 0, v1, v2)
+        # the last vertex completes the window (last, 0, v1, v2), and lies
+        # above v1 so that each cycle is searched in one direction only
         close = row0[v1] & row0[v2] & row1[v2] & ~((2 << v1) - 1)
 
         def rec(used: int, p: int, q: int, r: int, cands: int, depth: int) -> bool:
