@@ -273,10 +273,12 @@ def oracle_has_squared_hamiltonian(
         failed: set[tuple[int, int, int, int]] = set()
         order: list[int] = []
         head = 1 | (1 << v1) | (1 << v2)
-        row0, row1 = pn[0], pn[v1]
-        # the last vertex completes the window (last, 0, v1, v2), and lies
-        # above v1 so that each cycle is searched in one direction only
-        close = row0[v1] & row0[v2] & row1[v2] & ~((2 << v1) - 1)
+        # the vertices spanning a tetrahedron with 0, v1 and v2: the fourth
+        # vertex is one, and so is the last, which completes the window
+        # (last, 0, v1, v2) and lies above v1 so that each cycle is
+        # searched in one direction only
+        k4_head = pn[0][v1] & pn[0][v2] & pn[v1][v2]
+        close = k4_head & ~((2 << v1) - 1)
 
         def rec(used: int, p: int, q: int, r: int, cands: int, depth: int) -> bool:
             # cands is nonempty and some unplaced vertex lies in close
@@ -320,9 +322,8 @@ def oracle_has_squared_hamiltonian(
                 failed.add(key)
             return False
 
-        cands = row0[v1] & row0[v2] & row1[v2] & ~head
         try:
-            if cands and close and rec(head, 0, v1, v2, cands, 3):
+            if close and rec(head, 0, v1, v2, k4_head & ~head, 3):
                 return (0, v1, v2) + tuple(order)
             return None
         finally:
