@@ -8,6 +8,11 @@ good pair, splitting a K4 down to a K2 while growing two other tiles, and
 dissolving a K3 or a K4 into other tiles.  Every move strictly increases the
 integer weight, so the search terminates; the result is a local optimum of
 this move set, which is all the downstream arguments use.
+
+The search works on grow masks.  A run's only state is its list of tiles;
+each round ANDs, for every tile, the good-pair masks of its vertices and the
+pair masks of its pairs into the set of vertices the tile can take, and
+every move reads those masks.
 """
 
 from __future__ import annotations
@@ -101,178 +106,138 @@ def _tile_ok(h: Hypergraph3, oracle: GoodPairOracle, vs: tuple[int, ...]) -> boo
     return True
 
 
-class _SearchState:
-    def __init__(self, h, oracle, domain):
-        self.h = h
-        self.oracle = oracle
-        self.domain = sorted(domain)
-        self.tiles: list[tuple[int, ...]] = []
-        self.owner: dict[int, int] = {}
-
-    def uncovered(self) -> list[int]:
-        return [v for v in self.domain if v not in self.owner]
-
-    def set_tile(self, idx: int, vs: tuple[int, ...]):
-        for v in self.tiles[idx]:
-            self.owner.pop(v, None)
-        self.tiles[idx] = vs
-        for v in vs:
-            self.owner[v] = idx
-
-    def add_tile(self, vs: tuple[int, ...]):
-        self.tiles.append(vs)
-        for v in vs:
-            self.owner[v] = len(self.tiles) - 1
-
-    def drop_empty(self):
-        kept = [t for t in self.tiles if t]
-        self.tiles = kept
-        self.owner = {v: i for i, t in enumerate(kept) for v in t}
-
-    def connects(self, idx: int, x: int) -> bool:
-        t = self.tiles[idx]
-        return (
-            len(t) <= 3
-            and x not in t
-            and _tile_ok(self.h, self.oracle, tuple(sorted(t + (x,))))
-        )
+def _good_masks(oracle: GoodPairOracle, domain: int) -> list[int]:
+    """Row v: the domain vertices other than v that form a good pair with v."""
+    return [domain & ~bad & ~(1 << v) for v, bad in enumerate(oracle.bad_mask)]
 
 
-def _apply_relocation(state: _SearchState) -> bool:
+def _grow_mask(h: Hypergraph3, good: list[int], t: tuple[int, ...]) -> int:
+    """The vertices x for which t + x is a good complete tile, given that t
+    is one: x forms a good pair with every vertex of t and closes every pair
+    of t to an edge.  A K4 does not grow."""
+    if len(t) == 4:
+        return 0
+    m = good[t[0]]
+    for a in t[1:]:
+        m &= good[a]
+    for a, b in itertools.combinations(t, 2):
+        m &= h._pn[a][b]
+    return m
+
+
+def _move(tiles: list[tuple[int, ...]], moves: list[tuple[int, int]]) -> None:
+    """Move vertex x into tile i for each (x, i) in moves.  The donor keeps
+    what is left when that is at least a pair and dissolves otherwise."""
+    moving = {x for x, _ in moves}
+    out = [tuple(v for v in t if v not in moving) for t in tiles]
+    for x, i in moves:
+        out[i] = tuple(sorted(out[i] + (x,)))
+    tiles[:] = [t for t in out if len(t) >= 2]
+
+
+def _apply_relocation(tiles: list[tuple[int, ...]], grow: list[int], free: int) -> bool:
     """Move one vertex into a connecting tile when the weight rises: from
     nowhere (+4/+5), from a good pair (+2/+3), or from a triangle into
     another triangle (+1).  Returns True when a move was applied."""
+    # the domain split by what a vertex's tile loses when the vertex leaves
+    sources = [(free, 0)] + [
+        (mask_of(v for t in tiles if len(t) == size for v in t), loss)
+        for size, loss in DONATE_LOSS.items()
+    ]
     best = None
-    for idx, t in enumerate(state.tiles):
-        if len(t) > 3:
+    for idx, g in enumerate(grow):
+        if not g:
             continue
-        gain = GROW_GAIN[len(t)]
-        for x in state.domain:
-            donor = state.owner.get(x)
-            if donor == idx:
-                continue
-            loss = 0 if donor is None else DONATE_LOSS[len(state.tiles[donor])]
-            delta = gain - loss
-            if delta <= 0:
-                continue
-            if not state.connects(idx, x):
-                continue
-            key = (-delta, idx, x)
-            if best is None or key < best:
-                best = key
+        gain = GROW_GAIN[len(tiles[idx])]
+        for src, loss in sources:
+            cands = g & src
+            if cands and gain > loss:
+                key = (loss - gain, idx, (cands & -cands).bit_length() - 1)
+                if best is None or key < best:
+                    best = key
     if best is None:
         return False
     _, idx, x = best
-    donor = state.owner.get(x)
-    if donor is not None:
-        rest = tuple(v for v in state.tiles[donor] if v != x)
-        state.set_tile(donor, rest if len(rest) >= 2 else ())
-    state.set_tile(idx, tuple(sorted(state.tiles[idx] + (x,))))
-    state.drop_empty()
+    _move(tiles, [(x, idx)])
     return True
 
 
-def _apply_new_pair(state: _SearchState) -> bool:
-    unc = state.uncovered()
-    for i, u in enumerate(unc):
-        for v in unc[i + 1 :]:
-            if state.oracle.is_good(u, v):
-                state.add_tile((u, v))
-                return True
+def _apply_new_pair(tiles: list[tuple[int, ...]], good: list[int], free: int) -> bool:
+    """Open a good pair on the lowest free vertex with a free partner."""
+    for u in bits_of(free):
+        # a free partner below u would have paired with u already, so this
+        # is the lowest good partner above u
+        partners = good[u] & free
+        if partners:
+            tiles.append((u, (partners & -partners).bit_length() - 1))
+            return True
     return False
 
 
-def _receivers(state: _SearchState, x: int, skip: int) -> list[int]:
-    return [
-        i
-        for i, t in enumerate(state.tiles)
-        if i != skip and len(t) <= 3 and state.connects(i, x)
-    ]
-
-
-def _apply_split(state: _SearchState) -> bool:
+def _apply_split(tiles: list[tuple[int, ...]], grow: list[int]) -> bool:
     """Moves that break up a donor tile into several receivers:
     two K4 vertices out (K4 -> K2, delta 2g - 9), two K3 vertices out
     (K3 dissolves, delta 2g - 6), or three K4 vertices out (K4 dissolves,
     delta 3g - 11)."""
     best = None
-    for didx, t in enumerate(state.tiles):
-        if len(t) < 3:
-            continue
-        # what the donor loses: a K4 keeps a K2, a K3 dissolves
-        loss = WEIGHTS[len(t)] - WEIGHTS.get(len(t) - 2, 0)
-        receivers = {x: _receivers(state, x, didx) for x in t}
-        for x, y in itertools.permutations(t, 2):
-            for i in receivers[x]:
-                gx = GROW_GAIN[len(state.tiles[i])]
-                for j in receivers[y]:
-                    if i == j:
+    for didx, t in enumerate(tiles):
+        # no grow mask holds its own tile's vertices, so the donor is never
+        # among the receivers
+        receivers = {x: [i for i, g in enumerate(grow) if (g >> x) & 1] for x in t}
+        for m in range(2, len(t)):
+            # what the donor loses when m vertices leave it
+            loss = WEIGHTS[len(t)] - WEIGHTS.get(len(t) - m, 0)
+            for xs in itertools.permutations(t, m):
+                for rs in itertools.product(*(receivers[x] for x in xs)):
+                    delta = sum(GROW_GAIN[len(tiles[r])] for r in rs) - loss
+                    if delta <= 0 or len(set(rs)) < m:
                         continue
-                    delta = gx + GROW_GAIN[len(state.tiles[j])] - loss
-                    if delta <= 0:
-                        continue
-                    # sentinel -1 keeps two-vertex and three-vertex keys comparable
-                    key = (-delta, didx, x, y, i, j, -1, -1)
-                    if best is None or key < best:
-                        best = key
-        if len(t) == 4:
-            for xs in itertools.permutations(t, 3):
-                recs = [receivers[x] for x in xs]
-                for i in recs[0]:
-                    g0 = GROW_GAIN[len(state.tiles[i])]
-                    for j in recs[1]:
-                        if j == i:
-                            continue
-                        g1 = GROW_GAIN[len(state.tiles[j])]
-                        for k in recs[2]:
-                            if k in (i, j):
-                                continue
-                            delta = g0 + g1 + GROW_GAIN[len(state.tiles[k])] - 11
-                            if delta <= 0:
-                                continue
-                            key = (-delta, didx, xs[0], xs[1], i, j, xs[2], k)
-                            if best is None or key < best:
-                                best = key
+                    # a third mover and its receiver sort last, -1 standing
+                    # in for none, so two- and three-vertex keys compare
+                    tail = xs[2:] + rs[2:] or (-1, -1)
+                    key = (-delta, didx, *xs[:2], *rs[:2], *tail)
+                    if best is None or key < best[0]:
+                        best = (key, list(zip(xs, rs)))
     if best is None:
         return False
-    _, didx, x, y, i, j, z, k = best
-    moved = [(x, i), (y, j)] + ([(z, k)] if z >= 0 else [])
-    rest = tuple(v for v in state.tiles[didx] if v not in {m for m, _ in moved})
-    state.set_tile(didx, rest if len(rest) >= 2 else ())
-    for vert, ridx in moved:
-        state.set_tile(ridx, tuple(sorted(state.tiles[ridx] + (vert,))))
-    state.drop_empty()
+    _move(tiles, best[1])
     return True
 
 
 def _local_search(h: Hypergraph3, domain: list[int], oracle: GoodPairOracle, order: list[int]) -> Tiling:
     """One run: greedy good-pair matching in the given vertex order, then
-    improving moves until none fires.  The weight rises by at least 1 per
-    move and is bounded by 11n/4, so the loop terminates."""
-    state = _SearchState(h, oracle, domain)
+    improving moves until none fires.  The tile list, sorted tuples in
+    creation order, is the run's only state; each round derives every
+    tile's grow mask and the free mask from it.  The weight rises by at
+    least 1 per move and is bounded by 11n/4, so the loop terminates."""
+    dom = mask_of(domain)
+    good = _good_masks(oracle, dom)
+    tiles: list[tuple[int, ...]] = []
     unmatched = list(order)
     while len(unmatched) >= 2:
         u = unmatched[0]
-        partner = next((v for v in unmatched[1:] if oracle.is_good(u, v)), None)
+        partner = next((v for v in unmatched[1:] if (good[u] >> v) & 1), None)
         if partner is None:
             unmatched.pop(0)
             continue
-        state.add_tile(tuple(sorted((u, partner))))
+        tiles.append(tuple(sorted((u, partner))))
         unmatched.remove(u)
         unmatched.remove(partner)
 
     guard = 6 * len(domain) + 16
     for _ in range(guard):
-        if _apply_relocation(state):
-            continue
-        if _apply_new_pair(state):
-            continue
-        if _apply_split(state):
+        grow = [_grow_mask(h, good, t) for t in tiles]
+        free = dom & ~mask_of(v for t in tiles for v in t)
+        if (
+            _apply_relocation(tiles, grow, free)
+            or _apply_new_pair(tiles, good, free)
+            or _apply_split(tiles, grow)
+        ):
             continue
         break
     else:
         raise AssertionError("tiling local search failed to terminate")
-    return Tiling(sorted(tuple(sorted(t)) for t in state.tiles if t))
+    return Tiling(sorted(tiles))
 
 
 def weighted_tiling(

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypersquare import (
     Config,
@@ -18,7 +21,15 @@ from hypersquare import (
     weighted_tiling,
 )
 from hypersquare.core import bits_of, mask_of
-from hypersquare.tiling import WEIGHTS, _SearchState, _apply_split, _tile_ok
+from hypersquare.tiling import (
+    WEIGHTS,
+    GoodPairOracle,
+    _apply_new_pair,
+    _apply_split,
+    _good_masks,
+    _grow_mask,
+    _tile_ok,
+)
 from conftest import exhaustive_tiling_weight
 
 
@@ -100,11 +111,56 @@ class TestSplitMove:
         # K3s gain 15 - 11 = 4; two K3 vertices into two K3s gain 10 - 6 = 4;
         # the tie goes to the lower donor index, the K4
         h = complete(16)
-        state = _SearchState(h, classify_pairs(h, 0), range(16))
-        for t in [(0, 1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12), (13, 14, 15)]:
-            state.add_tile(t)
-        assert _apply_split(state)
-        assert state.tiles == [(0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12), (13, 14, 15)]
+        good = _good_masks(classify_pairs(h, 0), mask_of(range(16)))
+        tiles = [(0, 1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12), (13, 14, 15)]
+        assert _apply_split(tiles, [_grow_mask(h, good, t) for t in tiles])
+        assert tiles == [(0, 4, 5, 6), (1, 7, 8, 9), (2, 10, 11, 12), (13, 14, 15)]
+
+
+class TestNewPairMove:
+    def test_lowest_free_vertex_takes_lowest_good_partner(self):
+        # 0 and 1 form a bad pair and 2 is in a tile, so 0 pairs with 3, not 5
+        bad = (0b10, 0b01, 0, 0, 0, 0)
+        good = _good_masks(GoodPairOracle(0, bad), mask_of(range(6)))
+        tiles = [(2, 4)]
+        assert _apply_new_pair(tiles, good, mask_of([0, 1, 3, 5]))
+        assert tiles == [(2, 4), (0, 3)]
+
+    def test_no_good_free_pair(self):
+        bad = (0b10, 0b01, 0, 0)
+        good = _good_masks(GoodPairOracle(0, bad), mask_of(range(4)))
+        tiles = [(2, 3)]
+        assert not _apply_new_pair(tiles, good, mask_of([0, 1]))
+        assert tiles == [(2, 3)]
+
+
+class TestGrowMask:
+    @given(
+        st.integers(4, 12),
+        st.sampled_from([0.4, 0.7, 0.9]),
+        st.integers(0, 10**6),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tile_ok(self, n, p, seed, data):
+        h = random_hypergraph(n, p, seed=seed)
+        oracle = classify_pairs(h, data.draw(st.integers(0, n - 2)))
+        domain = data.draw(st.sets(st.integers(0, n - 1), min_size=2))
+        good = _good_masks(oracle, mask_of(domain))
+        tiles = [
+            t
+            for size in (2, 3, 4)
+            for t in itertools.combinations(sorted(domain), size)
+            if _tile_ok(h, oracle, t)
+        ]
+        assume(tiles)
+        for t in data.draw(st.lists(st.sampled_from(tiles), min_size=1, max_size=8)):
+            expected = set() if len(t) == 4 else {
+                x
+                for x in domain
+                if x not in t and _tile_ok(h, oracle, tuple(sorted(t + (x,))))
+            }
+            assert set(bits_of(_grow_mask(h, good, t))) == expected
 
 
 class TestWeightedTiling:
