@@ -284,9 +284,12 @@ class AlmostK4Factor:
     k4_tiles: list[tuple[int, ...]]
     leftover: frozenset[int]
     leftover_bound: float
-    within_bound: bool
     tiling: Tiling
     pruned: frozenset[int]
+
+    @property
+    def within_bound(self) -> bool:
+        return len(self.leftover) <= self.leftover_bound
 
 
 def almost_k4_factor(h: Hypergraph3, cfg: Config) -> AlmostK4Factor:
@@ -300,12 +303,10 @@ def almost_k4_factor(h: Hypergraph3, cfg: Config) -> AlmostK4Factor:
     k4s = [t for t in til.tiles if len(t) == 4]
     covered = {v for t in k4s for v in t}
     leftover = frozenset(v for v in range(h.n) if v not in covered)
-    bound = 2 * math.sqrt(cfg.tau) * h.n + 14
     return AlmostK4Factor(
         k4s,
         leftover,
-        bound,
-        len(leftover) <= bound,
+        2 * math.sqrt(cfg.tau) * h.n + 14,
         til,
         frozenset(v for v in range(h.n) if v not in survivors),
     )
@@ -318,7 +319,10 @@ class CoverResult:
     paths: list[VertexSeq]
     uncovered: frozenset[int]
     mu_bound: float
-    within_bound: bool
+
+    @property
+    def within_bound(self) -> bool:
+        return len(self.uncovered) <= self.mu_bound
 
 
 def _first_k4(h: Hypergraph3, avail: int, order: list[int]) -> tuple[int, ...] | None:
@@ -398,5 +402,4 @@ def cover_with_squared_paths(
 
     covered = {v for s in paths for v in s.vertices}
     uncovered = frozenset(v for v in bits_of(dom_mask) if v not in covered)
-    bound = mu * h.n
-    return CoverResult(paths, uncovered, bound, len(uncovered) <= bound)
+    return CoverResult(paths, uncovered, mu * h.n)
