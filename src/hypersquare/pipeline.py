@@ -369,13 +369,9 @@ def oracle_has_perfect_k4_tiling(
         rest = avail & ~(1 << v)
         for x in bits_of(rest):
             yz_base = pn[v][x] & rest
-            for y in bits_of(yz_base):
-                if y <= x:
-                    continue
+            for y in bits_of(yz_base & ~((2 << x) - 1)):
                 zmask = yz_base & pn[v][y] & pn[x][y]
-                for z in bits_of(zmask):
-                    if z <= y:
-                        continue
+                for z in bits_of(zmask & ~((2 << y) - 1)):
                     chosen.append((v, x, y, z))
                     if rec(avail & ~((1 << v) | (1 << x) | (1 << y) | (1 << z))):
                         return True
