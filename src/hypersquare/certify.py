@@ -79,11 +79,9 @@ def is_squared_cycle(h: Hypergraph3, s: VertexSeq) -> bool:
         raise ValueError("squared cycles need at least 5 vertices")
     if len(set(vs)) != len(vs):
         return False
-    ln = len(vs)
-    return all(
-        _window_ok(h, vs[i], vs[(i + 1) % ln], vs[(i + 2) % ln], vs[(i + 3) % ln])
-        for i in range(ln)
-    )
+    # the cyclic windows are the windows of the walk that repeats the first
+    # three vertices at the end
+    return is_squared_walk(h, VertexSeq(vs + vs[:3]))
 
 
 def is_squared_walk(h: Hypergraph3, s: VertexSeq) -> bool:
