@@ -126,13 +126,6 @@ class TestNewPairMove:
         assert _apply_new_pair(tiles, good, mask_of([0, 1, 3, 5]))
         assert tiles == [(2, 4), (0, 3)]
 
-    def test_no_good_free_pair(self):
-        bad = (0b10, 0b01, 0, 0)
-        good = _good_masks(GoodPairOracle(0, bad), mask_of(range(4)))
-        tiles = [(2, 3)]
-        assert not _apply_new_pair(tiles, good, mask_of([0, 1]))
-        assert tiles == [(2, 3)]
-
 
 class TestGrowMask:
     @given(
@@ -155,6 +148,7 @@ class TestGrowMask:
         ]
         assume(tiles)
         for t in data.draw(st.lists(st.sampled_from(tiles), min_size=1, max_size=8)):
+            # a K4 takes nothing, even where it lies in a good complete K5
             expected = set() if len(t) == 4 else {
                 x
                 for x in domain
