@@ -13,11 +13,14 @@ were taken again, on the code whose config still carried ``beta`` and
 ``gamma`` and whose stats carried ``reservoir_budget_ok``, so that they cover
 only the named stats and the output after the manifest.  The oracle digests
 were computed from the cycle oracle that ran the six-partner window test as a
-loop over every unplaced vertex and memoized every dead end.
+loop over every unplaced vertex and memoized every dead end.  The CLI
+digests were computed from the command line that gave construct, tile, cover
+and absorb all six config flags and built its manifests through a dataclass.
 """
 
 import functools
 import hashlib
+import io
 import json
 import math
 
@@ -131,6 +134,32 @@ ABSORB_DEMO = {
     (30, 1): '116cffda5adcff6cd221de39f6c4e9a8b05796ba4bc7383eb694213893b95d3e',
     (30, 2): 'b54b9ef1fd9524fd9c6679af26add8e0c9a548effe56f6cc79018a43125c38a9',
     (30, 5): 'ae3dfe662d9b28e331d11ac3eeb14a9e5e14e87bc721bfd258ce7cc897c7666f',
+}
+
+# (argv, instance piped to standard input or None) -> sha256 of
+# repr((exit code, stdout)) of `hypersquare <argv>`.  The construct, tile
+# and cover cells set some of the config flags their code reads.
+CLI = {
+    (('gen', 'complete', '8'), None): '20d807b080294ba91824849e1cc94bc08257030ac250610a091ca5e4c6efa2ad',
+    (('gen', 'pikhurko', '12'), None): 'fdc83ff42c4ba25462a5711077e5c6017f3349a3a5fc3dcb0ed247301c4b2446',
+    (('gen', 'random', '10', '--p', '0.5', '--seed', '3'), None): '1feb4ed1a483f10ed87ae99dd2fb025e247f397918167991c19d832725f71b60',
+    (('gen', 'dense', '14', '--delta2', '0.8', '--seed', '2'), None): '80c3d7bdd1261b609986ad1410f9dd11b9d476b6eae3329c1e3791f2414bd4a6',
+    (('construct', '--seed', '1', '--theta-star', '0.3', '--cap-m', '10'), ('dense_random', 40, 0.9, 1)): 'd061f4c5278f747c264040b9b9ed49747e83d39aea00b060f0115880c955f576',
+    (('construct', '--seed', '0', '--q', '4'), ('dense_random', 30, 0.8, 0)): '180fe70d7d205009abc7615e92f9c12b4ba28524b1ec30a257c34906a6ed23c1',
+    (('tile', '--seed', '2', '--alpha', '0.1', '--tau', '0.05'), ('dense_random', 30, 0.8, 0)): '2a3401e4b9da3548cd7ded6e0b90af8bd7ea966ed48c1ab198d3b3d1b57533cd',
+    (('tile', '--seed', '0', '--tau', '0.2'), ('pikhurko', 16)): 'ef7972afcac484e25ebf4d6745b26fbfc89573a77306d14389d42d3dab62ae13',
+    (('cover', '--seed', '1', '--q', '4', '--mu', '0.3'), ('pikhurko', 16)): '2d305b22570d94c8ccb15efd10b1f3c139d9650670a7bb264af35312e0fa8a55',
+    (('cover', '--seed', '5', '--q', '12'), ('dense_random', 30, 0.8, 0)): '73d769b4b5754814391c6d15eeaf7c074156ca11366fbe21d682433362d7156f',
+    (('oracle', 'cycle', '--json'), ('dense_instance', 12, 0.6, 1)): '302d09aed400243eadc3866eab2afec7da180d25790df1b006b2140d8daa2163',
+    (('oracle', 'cycle', '--json'), ('pikhurko', 12)): '75f954418afad245198289c4d559f49b9bbfcae7ced90b723a199b854c2f716b',
+    (('oracle', 'tiling', '--json'), ('pikhurko', 16)): '72ba237e9b861678817c94d21a7a9607b6e4d52a58835120d990a8b349315e42',
+    (('check', 'cycle', 'C 0 1 2 3 4 5', '--hamiltonian', '--json'), ('complete', 6)): '50ccdfdb72b122ea60a9523c3bf3be20998882b44bcb0d95b118349bb4919af9',
+    (('check', 'path', '0 1 2 3', '--json'), ('pikhurko', 8)): '9bb25dd8e66faa0b34613b22c6d04294c29e0e5a1a27894d1364d0e910eb9f94',
+    (('check', 'walk', '0 1 2 3 0 1', '--json'), ('complete', 5)): '3be60bbf9d285c6a592dd3439201a760e3e4c141d31cc8d0a9d2c5e72802a8d6',
+    (('connect', '--from', '0,1,2', '--to', '3,4,5', '--json'), ('complete', 10)): 'cf8eb53a36295313c26b70bb3c81a456fc7b11d1fa856fd04d7d95fed905bc2d',
+    (('connect', '--from', '0,1,2', '--to', '5,6,7', '--cap-m', '4', '--forbid', '8', '--json'), ('dense_random', 14, 0.5, 0)): '9040ee2bf383732a8f55f2ac5cf91f396751d45cc3a6a5140538cbdd61e632e5',
+    (('probe', '--n', '8', '--grid', '0.7,0.9', '--trials', '2', '--seed', '4'), None): 'f29ddaaa5781e7700dfa513869cb20a321f371e1e49f7bfaca428016cdf4fe7d',
+    (('probe', '--n', '10', '--grid', '0.8', '--trials', '3', '--seed', '1', '--no-oracle'), None): '09b65b5a52443cfa10e9ce0777f4d8314765b2dfd0ae3471dc044e77121e3a48',
 }
 
 # Instances for the tiling digests: ("complete", n), ("pikhurko", n) or
@@ -406,3 +435,12 @@ def test_absorb_demo_output(cell, capsys):
     manifest = json.loads(head[len("# manifest: ") :])
     assert manifest["argv"] == argv
     assert manifest["config"] == Config(seed=seed).as_dict()
+
+
+@pytest.mark.parametrize("cell", list(CLI))
+def test_cli_output(cell, capsys, monkeypatch):
+    argv, spec = cell
+    stdin_text = format_hypergraph(_instance(spec)) if spec is not None else ""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    code = main(list(argv))
+    assert text_digest(repr((code, capsys.readouterr().out))) == CLI[cell]
