@@ -63,46 +63,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
+def _manifest(command, argv, config=None, seed=None, input_text=None) -> dict:
     """Everything needed to replay a randomized command."""
-
-    command: str
-    argv: tuple[str, ...]
-    config: dict | None
-    seed: int | None
-    version: str
-    input_digest: str | None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            dataclasses.asdict(self), sort_keys=True, separators=(",", ":")
-        )
-
-
-def _manifest(command, argv, config=None, seed=None, input_text=None) -> RunManifest:
-    digest = (
-        hashlib.sha256(input_text.encode()).hexdigest()
-        if input_text is not None
-        else None
-    )
-    return RunManifest(
-        command,
-        tuple(argv),
-        config.as_dict() if config is not None else None,
-        seed,
-        __version__,
-        digest,
-    )
+    return {
+        "command": command,
+        "argv": list(argv),
+        "config": config.as_dict() if config is not None else None,
+        "seed": seed,
+        "version": __version__,
+        "input_digest": (
+            hashlib.sha256(input_text.encode()).hexdigest()
+            if input_text is not None
+            else None
+        ),
+    }
 
 
-# every Config field but the seed, which has its own flag and variable
-_CONFIG_KNOBS = tuple(f for f in dataclasses.fields(Config) if f.name != "seed")
+def _manifest_line(manifest: dict) -> str:
+    return "# manifest: " + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    for f in _CONFIG_KNOBS:
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
+def _add_config_flags(p: argparse.ArgumentParser, *names: str):
+    """One flag per named Config field, typed by the field's default."""
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), type=type(getattr(Config, name)))
 
 
 def _resolve_seed(args, required: bool) -> int:
@@ -120,11 +104,13 @@ def _resolve_seed(args, required: bool) -> int:
 
 
 def _config_from(args) -> Config:
-    kwargs = {}
-    for f in _CONFIG_KNOBS:
-        val = getattr(args, f.name)
-        if val is not None:
-            kwargs[f.name] = val
+    """The command's config flags that were given; other fields keep their
+    defaults."""
+    kwargs = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(Config)
+        if getattr(args, f.name, None) is not None
+    }
     kwargs["seed"] = _resolve_seed(args, required=False)
     try:
         return Config(**kwargs)
@@ -158,26 +144,23 @@ def _emit(text: str):
 
 
 def _cmd_gen(args, argv) -> int:
-    kind = args.kind
-    if kind == "complete":
+    seed = None
+    if args.kind == "complete":
         h = complete(args.n)
-        manifest = _manifest("gen complete", argv)
-    elif kind == "pikhurko":
+    elif args.kind == "pikhurko":
         h, _parts = pikhurko(args.n)
-        manifest = _manifest("gen pikhurko", argv)
-    elif kind == "random":
+    elif args.kind == "random":
         seed = _resolve_seed(args, required=True)
         if args.p is None:
             raise _UsageError("gen random needs --p")
         h = random_hypergraph(args.n, args.p, seed)
-        manifest = _manifest("gen random", argv, seed=seed)
     else:
         seed = _resolve_seed(args, required=True)
         if args.delta2 is None:
             raise _UsageError("gen dense needs --delta2")
         h = dense_random(args.n, args.delta2, seed)
-        manifest = _manifest("gen dense", argv, seed=seed)
-    _emit(format_hypergraph(h, comments=(f"manifest: {manifest.to_json()}",)))
+    manifest = _manifest(f"gen {args.kind}", argv, seed=seed)
+    _emit(f"{_manifest_line(manifest)}\n{format_hypergraph(h)}")
     return EXIT_OK
 
 
@@ -253,9 +236,8 @@ def _cmd_tile(args, argv) -> int:
     h, text = _read_hypergraph(args)
     cfg = _config_from(args)
     result = almost_k4_factor(h, cfg)
-    manifest = _manifest("tile", argv, config=cfg, seed=cfg.seed, input_text=text)
     payload = {
-        "manifest": json.loads(manifest.to_json()),
+        "manifest": _manifest("tile", argv, config=cfg, seed=cfg.seed, input_text=text),
         "k4_tiles": [list(t) for t in result.k4_tiles],
         "all_tiles": [list(t) for t in result.tiling.tiles],
         "weight": result.tiling.weight,
@@ -272,9 +254,8 @@ def _cmd_cover(args, argv) -> int:
     h, text = _read_hypergraph(args)
     cfg = _config_from(args)
     result = cover_with_squared_paths(h, cfg.q, cfg.mu, seed=cfg.seed)
-    manifest = _manifest("cover", argv, config=cfg, seed=cfg.seed, input_text=text)
     payload = {
-        "manifest": json.loads(manifest.to_json()),
+        "manifest": _manifest("cover", argv, config=cfg, seed=cfg.seed, input_text=text),
         "paths": [list(p.vertices) for p in result.paths],
         "uncovered": sorted(result.uncovered),
         "mu_bound": result.mu_bound,
@@ -301,7 +282,7 @@ def _cmd_absorb(args, argv) -> int:
     _emit(
         "\n".join(
             [
-                f"# manifest: {manifest.to_json()}",
+                _manifest_line(manifest),
                 f"before: {format_sequence(pa)}",
                 f"absorbed: {' '.join(str(v) for v in free)}",
                 f"after: {format_sequence(spliced)}",
@@ -315,12 +296,13 @@ def _cmd_construct(args, argv) -> int:
     h, text = _read_hypergraph(args)
     cfg = _config_from(args)
     report = construct_squared_hamiltonian(h, cfg)
-    manifest = _manifest("construct", argv, config=cfg, seed=cfg.seed, input_text=text)
     stats = dict(report.stats)
     if not args.timings:
         stats.pop("timings", None)
     payload = {
-        "manifest": json.loads(manifest.to_json()),
+        "manifest": _manifest(
+            "construct", argv, config=cfg, seed=cfg.seed, input_text=text
+        ),
         "outcome": report.outcome,
         "cycle": list(report.cycle.vertices) if report.cycle else None,
         "stage": report.stage,
@@ -336,22 +318,16 @@ def _cmd_oracle(args, argv) -> int:
     h, _text = _read_hypergraph(args)
     if args.kind == "cycle":
         result = oracle_has_squared_hamiltonian(h, args.time_limit)
-        witness = (
-            format_sequence(result.witness) if result.status == "yes" else None
-        )
-        witness_json = (
-            list(result.witness.vertices) if result.status == "yes" else None
-        )
     else:
         result = oracle_has_perfect_k4_tiling(h, args.time_limit)
-        witness = (
-            " | ".join(" ".join(str(v) for v in t) for t in result.witness)
-            if result.status == "yes"
-            else None
-        )
-        witness_json = (
-            [list(t) for t in result.witness] if result.status == "yes" else None
-        )
+    if result.status != "yes":
+        witness = witness_json = None
+    elif args.kind == "cycle":
+        witness = format_sequence(result.witness)
+        witness_json = list(result.witness.vertices)
+    else:
+        witness = " | ".join(" ".join(str(v) for v in t) for t in result.witness)
+        witness_json = [list(t) for t in result.witness]
     if args.json:
         _emit(
             json.dumps(
@@ -382,8 +358,7 @@ def _cmd_probe(args, argv) -> int:
         run_pipeline=not args.no_pipeline,
         jobs=args.jobs,
     )
-    manifest = _manifest("probe", argv, seed=seed)
-    _emit(f"# manifest: {manifest.to_json()}\n{csv_text}")
+    _emit(f"{_manifest_line(_manifest('probe', argv, seed=seed))}\n{csv_text}")
     return EXIT_OK
 
 
@@ -433,27 +408,27 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("tile", help="almost-perfect tetrahedron factor")
     p.add_argument("--input", default=None)
     p.add_argument("--seed", type=int, default=None)
-    _add_config_flags(p)
+    _add_config_flags(p, "alpha", "tau")
     p.set_defaults(func=_cmd_tile)
 
     p = sub.add_parser("cover", help="cover by fixed-length squared paths")
     p.add_argument("--input", default=None)
     p.add_argument("--seed", type=int, default=None)
-    _add_config_flags(p)
+    _add_config_flags(p, "q", "mu")
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("absorb", help="absorbing-path walkthrough")
     p.add_argument("--demo", action="store_true")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)
-    _add_config_flags(p)
+    _add_config_flags(p, "theta_star", "cap_m")
     p.set_defaults(func=_cmd_absorb)
 
     p = sub.add_parser("construct", help="end-to-end cycle construction")
     p.add_argument("--input", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--timings", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, "theta_star", "cap_m", "q")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("oracle", help="exact small-instance ground truth")
@@ -483,10 +458,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

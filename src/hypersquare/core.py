@@ -418,8 +418,7 @@ def parse_hypergraph(text: str) -> Hypergraph3:
     return Hypergraph3.from_pair_masks(n, pn)
 
 
-def format_hypergraph(h: Hypergraph3, comments=()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"n {h.n}")
+def format_hypergraph(h: Hypergraph3) -> str:
+    lines = [f"n {h.n}"]
     lines.extend(f"{a} {b} {c}" for a, b, c in h.iter_edges())
     return "\n".join(lines) + "\n"

@@ -224,18 +224,41 @@ class TestTileCoverAbsorb:
         assert code == EXIT_OK
         assert "before:" in out and "after:" in out
 
-    def test_every_config_flag_reaches_the_manifest(self, capsys, monkeypatch):
+    def test_each_command_takes_only_the_config_flags_it_reads(
+        self, capsys, monkeypatch
+    ):
         knobs = {"alpha": 0.06, "theta_star": 0.2, "cap_m": 10, "q": 12, "tau": 0.02, "mu": 0.2}
-        argv = ["tile", "--seed", "3"]
-        for name, val in knobs.items():
-            argv += ["--" + name.replace("_", "-"), str(val)]
+        reads = {
+            "construct": ("theta_star", "cap_m", "q"),
+            "absorb": ("theta_star", "cap_m"),
+            "tile": ("alpha", "tau"),
+            "cover": ("q", "mu"),
+        }
         text = format_hypergraph(complete(8))
-        code, out, _ = run_cli(capsys, monkeypatch, argv, stdin_text=text)
-        assert code == EXIT_OK
-        config = json.loads(out)["manifest"]["config"]
-        # compared as JSON text, so an int knob parsed as a float shows
-        want = Config(seed=3, **knobs).as_dict()
-        assert json.dumps(config, sort_keys=True) == json.dumps(want, sort_keys=True)
+        for command, names in reads.items():
+            head = [command, "--seed", "3"] + (["--demo"] if command == "absorb" else [])
+            argv = list(head)
+            for name in names:
+                argv += ["--" + name.replace("_", "-"), str(knobs[name])]
+            code, out, _ = run_cli(capsys, monkeypatch, argv, stdin_text=text)
+            assert code in (EXIT_OK, EXIT_FAILURE), command
+            if out.startswith("# manifest: "):
+                manifest = json.loads(out.splitlines()[0].removeprefix("# manifest: "))
+            else:
+                manifest = json.loads(out)["manifest"]
+            # compared as JSON text, so an int knob parsed as a float shows
+            want = Config(seed=3, **{name: knobs[name] for name in names}).as_dict()
+            assert json.dumps(manifest["config"], sort_keys=True) == json.dumps(
+                want, sort_keys=True
+            ), command
+            for name in knobs.keys() - set(names):
+                flag = "--" + name.replace("_", "-")
+                code, out, err = run_cli(
+                    capsys, monkeypatch, head + [flag, str(knobs[name])], stdin_text=text
+                )
+                assert code == EXIT_USAGE, (command, flag)
+                assert out == ""
+                assert "unrecognized arguments" in err
 
 
 class TestAuxCommand:
@@ -276,8 +299,8 @@ class TestUsage:
         code, _, err = run_cli(
             capsys,
             monkeypatch,
-            ["construct", "--seed", "1", "--tau", "1.5"],
+            ["tile", "--seed", "1", "--tau", "1.5"],
             stdin_text=text,
         )
         assert code == EXIT_USAGE
-        assert "tau" in err
+        assert "tau=1.5 must lie in (0, 1)" in err
