@@ -162,13 +162,6 @@ class ExpansionReport:
     best_side: tuple[int, ...]
     best_crossing: int | None
 
-    def describe(self) -> str:
-        kind = "exhaustive" if self.exhaustive else "heuristic"
-        if self.best_crossing is None:
-            return f"{kind}: no admissible partition"
-        verdict = "violation found" if self.violation_found else "no violation found"
-        return f"{kind}: {verdict} (min crossing {self.best_crossing}, threshold {self.threshold:g})"
-
 
 def _crossing(adjrows, xmask: int, ymask: int) -> int:
     total = 0

@@ -179,13 +179,6 @@ class Hypergraph3:
             raise ValueError("pair requires two distinct vertices")
         return self._pn[u][v]
 
-    def n3_mask(self, a: int, b: int, c: int) -> int:
-        """Bitset of w completing {a, b, c} to a tetrahedron, assuming abc is
-        an edge; without that assumption it is just the triple intersection
-        of the pair neighborhoods minus {a, b, c}."""
-        pn = self._pn
-        return pn[a][b] & pn[a][c] & pn[b][c] & ~((1 << a) | (1 << b) | (1 << c))
-
     def __eq__(self, other):
         return (
             isinstance(other, Hypergraph3)
@@ -229,13 +222,15 @@ def link_graph(h: Hypergraph3, v: int) -> "AuxGraph":
 
 
 def joint_neighborhood3(h: Hypergraph3, a: int, b: int, c: int) -> int:
-    """N(a,b) & N(a,c) & N(b,c) minus {a, b, c}, as a bitset."""
+    """N(a,b) & N(a,c) & N(b,c) minus {a, b, c}, as a bitset: when abc is an
+    edge, the vertices completing it to a tetrahedron."""
     h.check_vertex(a)
     h.check_vertex(b)
     h.check_vertex(c)
     if a == b or a == c or b == c:
         raise ValueError("joint neighborhood requires three distinct vertices")
-    return h.n3_mask(a, b, c)
+    pn = h._pn
+    return pn[a][b] & pn[a][c] & pn[b][c] & ~((1 << a) | (1 << b) | (1 << c))
 
 
 def is_k4(h: Hypergraph3, w: int, x: int, y: int, z: int) -> bool:
