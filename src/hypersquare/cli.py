@@ -104,8 +104,8 @@ def _resolve_seed(args, required: bool) -> int:
 
 
 def _config_from(args) -> Config:
-    """The command's config flags that were given; other fields keep their
-    defaults."""
+    """A Config from the config flags the command registered and was given;
+    every other field keeps its default."""
     kwargs = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(Config)
