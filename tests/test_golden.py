@@ -16,30 +16,42 @@ were computed from the cycle oracle that ran the six-partner window test as a
 loop over every unplaced vertex and memoized every dead end.  The CLI
 digests were computed from the command line that gave construct, tile, cover
 and absorb all six config flags and built its manifests through a dataclass.
+The auxiliary-graph, expansion, walk-count and ``aux`` CLI digests were
+computed from the layer that built Gv from a list of link pairs, recounted
+the whole cut for every candidate move of the expansion descent and returned
+walk counts inside a ``WalkCountTable``.
 """
 
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
+import random
 
 import pytest
 
 from hypersquare import (
+    AuxGraph,
     Config,
     almost_k4_factor,
+    build_g3,
+    build_gv,
+    build_gvw,
     classify_pairs,
     complete,
     construct_squared_hamiltonian,
     cover_with_squared_paths,
     dense_instance,
     dense_random,
+    expansion_report,
     format_hypergraph,
     oracle_has_perfect_k4_tiling,
     oracle_has_squared_hamiltonian,
     pikhurko,
     random_hypergraph,
+    walk_count_table,
     weighted_tiling,
 )
 from hypersquare.cli import EXIT_OK, main
@@ -138,7 +150,8 @@ ABSORB_DEMO = {
 
 # (argv, instance piped to standard input or None) -> sha256 of
 # repr((exit code, stdout)) of `hypersquare <argv>`.  The construct, tile
-# and cover cells set some of the config flags their code reads.
+# and cover cells set some of the config flags their code reads; two aux
+# cells are usage errors.
 CLI = {
     (('gen', 'complete', '8'), None): '20d807b080294ba91824849e1cc94bc08257030ac250610a091ca5e4c6efa2ad',
     (('gen', 'pikhurko', '12'), None): 'fdc83ff42c4ba25462a5711077e5c6017f3349a3a5fc3dcb0ed247301c4b2446',
@@ -160,6 +173,15 @@ CLI = {
     (('connect', '--from', '0,1,2', '--to', '5,6,7', '--cap-m', '4', '--forbid', '8', '--json'), ('dense_random', 14, 0.5, 0)): '9040ee2bf383732a8f55f2ac5cf91f396751d45cc3a6a5140538cbdd61e632e5',
     (('probe', '--n', '8', '--grid', '0.7,0.9', '--trials', '2', '--seed', '4'), None): 'f29ddaaa5781e7700dfa513869cb20a321f371e1e49f7bfaca428016cdf4fe7d',
     (('probe', '--n', '10', '--grid', '0.8', '--trials', '3', '--seed', '1', '--no-oracle'), None): '09b65b5a52443cfa10e9ce0777f4d8314765b2dfd0ae3471dc044e77121e3a48',
+    (('aux', 'g3', '--beta', '0.05'), ('random', 12, 0.8, 3)): '561b985be367202d79d8d8227c050b569824520f74fff6b217e0daa52ef55c63',
+    (('aux', 'g3', '--beta', '0.1'), ('pikhurko', 16)): '29cf17740f94436349398b38becc442dee26a9b16cad0a36cd4bf77195d26e86',
+    (('aux', 'gv', '--beta', '0.1', '--v', '0'), ('pikhurko', 16)): '58f9aa65d97e1a32c27b89eb0cfae728be7aee093ba4a0e0d867a1a6e57a22ba',
+    (('aux', 'gv', '--beta', '0.1', '--v', '11'), ('random', 12, 0.8, 3)): '388a7d73eb1b7e205584e75ebd2055a98c521fbf15ebdbe96d8fa55fdddd8a4f',
+    (('aux', 'gv', '--beta', '0.1'), ('random', 12, 0.8, 3)): 'e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a',
+    (('aux', 'gvw', '--v', '0', '--w', '5'), ('pikhurko', 12)): '9b159b6fef04c4e667eef901cc373a2d629d8d9e703607c8d5ee06fbc81fe5d5',
+    (('aux', 'gvw', '--v', '3', '--w', '3'), ('complete', 6)): 'e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a',
+    (('aux', 'walks', '--v', '2', '--length', '3', '--beta', '0.05'), ('random', 12, 0.8, 3)): 'efde8b51fea443c90aeced5c8aec3b80f530efef4666ce793cbee6fe12e4b376',
+    (('aux', 'walks', '--v', '1', '--length', '4', '--beta', '0.2'), ('random', 12, 0.9, 3)): '806059cbcda62ef5527f5c1c859cc7558e26fdf46daa4d2d056854d06ed7ed92',
 }
 
 # Instances for the tiling digests: ("complete", n), ("pikhurko", n) or
@@ -279,6 +301,231 @@ ORACLE_TILING = {
 }
 
 
+# Instances for the auxiliary-graph digests also include ("random", n, p,
+# seed) for random_hypergraph(n, p, seed).  (instance, kind, beta, apex) ->
+# sha256 of (vmask, edge list) of build_g3(h, beta), build_gv(h, apex, beta)
+# or build_gvw(h, *apex).  69 of the 130 cells give a graph that is neither
+# empty nor complete.
+AUX = {
+    (('random', 7, 0.9, 1), 'g3', 0.1, None): '0464df71fdc2a668f8a1b9504e23dbe47e049988e8cef590e7bdb97ea569742c',
+    (('random', 7, 0.9, 1), 'gv', 0.1, 0): '29e51fee377fd11c691022cbc155e3f10ea751bc2d765bb7f20c271cc3a706d6',
+    (('random', 7, 0.9, 1), 'gv', 0.1, 3): 'e04ff1ab76a83adf65792e4dc417aa93edc30e3dcd590f930954275a0845f804',
+    (('random', 7, 0.9, 1), 'gv', 0.1, 6): '0af30960c3ae7391d5162b4b0236350f1f8d3f2fa264b0e763c1c2716ad688fe',
+    (('random', 7, 0.9, 1), 'g3', 0.2, None): '44e0acd70e293da1eb9499964d9c196307cf68d9cac310ec6276fc356559faa8',
+    (('random', 7, 0.9, 1), 'gv', 0.2, 0): 'e70f9644ac17d21efef23be1539dca7cff2a338fe6c375e1b0eeccbe3973aff2',
+    (('random', 7, 0.9, 1), 'gv', 0.2, 3): '713c8149099dfcb2e79c6ab7f3813541d0a912d3695c07dd913819ff254f2ab0',
+    (('random', 7, 0.9, 1), 'gv', 0.2, 6): 'ce0ab13d4e02dfdec827d4359dbe8d5d85c3a5d661f4665a6671e19d489c5e33',
+    (('random', 7, 0.9, 1), 'gvw', None, (0, 1)): 'b9171e70cc6c2596366fba1e2d8ed9797c2970f5da8926b05732a600730bf133',
+    (('random', 7, 0.9, 1), 'gvw', None, (3, 6)): '78a55ceeddbfbee41d7055b6dff961849ff162016eeabdb9a30f9930803da7c8',
+    (('random', 9, 0.85, 2), 'g3', 0.1, None): 'cc0a5347ce21a4b088ce648cdca4df8b4a55553fc6ab012fff0cbfd1ab7cde4c',
+    (('random', 9, 0.85, 2), 'gv', 0.1, 0): '3b1bccf38402f4e93151c0e99bc89eecdfaa34a36f901b2957908088f01b5198',
+    (('random', 9, 0.85, 2), 'gv', 0.1, 4): 'd3ebc186e6a094653a124fac07fee0ae147a38893e84ed0d1adaedfcb83f5173',
+    (('random', 9, 0.85, 2), 'gv', 0.1, 8): 'f958149c402034ce23dd446f19823f9ca564f1572bedcc652422b85b39f5a91e',
+    (('random', 9, 0.85, 2), 'g3', 0.2, None): 'cc0a5347ce21a4b088ce648cdca4df8b4a55553fc6ab012fff0cbfd1ab7cde4c',
+    (('random', 9, 0.85, 2), 'gv', 0.2, 0): 'cec4fe6c319c73bfabc57a6ecb97f83676238000cd652a2a6a9c5230dc71348d',
+    (('random', 9, 0.85, 2), 'gv', 0.2, 4): '27f5b884dac062eafe0ae0e61400b98705052c16d48c596f072ef8f4ca4a43ef',
+    (('random', 9, 0.85, 2), 'gv', 0.2, 8): 'd09aef533a2e07973615b75a92916f8e1c468f5ad063899f97328ccbca5bbb90',
+    (('random', 9, 0.85, 2), 'gvw', None, (0, 1)): 'e1271792624a35d5b561486b179e24e4045c5ee124708826399ff32dca8d8cc1',
+    (('random', 9, 0.85, 2), 'gvw', None, (4, 8)): '27ce7fceacc812c2a35e1ef003bb7d5473a69fa43f9479a998ca5ba934c70840',
+    (('random', 12, 0.8, 3), 'g3', 0.1, None): '4860cbe6b6996171d7708bf9dbd5a6fcd0cb67ec6cb9ca5621972d732b862c3a',
+    (('random', 12, 0.8, 3), 'gv', 0.1, 0): '6c84de9b7d1e38820dde86871bc2b5237d14772e805028b5b95a7b40eec6cac3',
+    (('random', 12, 0.8, 3), 'gv', 0.1, 6): '658468dee0551e6186c2bb0e11bd483634018b50e3c4b9febe5fe8524aed5a7f',
+    (('random', 12, 0.8, 3), 'gv', 0.1, 11): 'e1416f6737f1d038af6d93694093ad523e1710a72adc1fd9f360f9455afa8857',
+    (('random', 12, 0.8, 3), 'g3', 0.2, None): '55e7766ae67c2ce21f0cc439fd035128bc28ae59394f844b90fb6799aac3638b',
+    (('random', 12, 0.8, 3), 'gv', 0.2, 0): '5a801be89afc631dbb80a8456a89979d8b9326ed95ca7e5072dd89a3032e8469',
+    (('random', 12, 0.8, 3), 'gv', 0.2, 6): '793956ffda4c3c00bbc5f3abb5d9a218023a79be4346c777900587b13356d9f6',
+    (('random', 12, 0.8, 3), 'gv', 0.2, 11): '18c416ed1f98a7fd1ee66feba01b85b3e1db36f2f0236bd95a897eaca5c29899',
+    (('random', 12, 0.8, 3), 'gvw', None, (0, 1)): 'c32d8e3c11cd742393d8c00118cf912c4be379dc4f0e6f29e23eb0181995b61c',
+    (('random', 12, 0.8, 3), 'gvw', None, (6, 11)): '793782a497387aec85589b10be8126f0f3a2451bad2fd6048ce85a49af801446',
+    (('random', 16, 0.75, 4), 'g3', 0.1, None): '57d4d7c33060beb24f764cd3e753398aa0a53cc55ce6ed53f347b310e7d2d43a',
+    (('random', 16, 0.75, 4), 'gv', 0.1, 0): 'd7621475f2d21ffece6077217c145ad8df7cc2629d4bf9e02916c7d9a1b6da95',
+    (('random', 16, 0.75, 4), 'gv', 0.1, 8): '87403ec4235a87a19ccb9f6ab240375c360c6f2e63311656eb6aaf6cae812eef',
+    (('random', 16, 0.75, 4), 'gv', 0.1, 15): '5d7a0ccdafb8eb0d6a37ae3b20b133be00bb4986e92611c64685798ea3d06d01',
+    (('random', 16, 0.75, 4), 'g3', 0.2, None): '57d4d7c33060beb24f764cd3e753398aa0a53cc55ce6ed53f347b310e7d2d43a',
+    (('random', 16, 0.75, 4), 'gv', 0.2, 0): '082f046bce47ef57f8b1c7938191363169050e78f32f1f316a2e0554c12e01e5',
+    (('random', 16, 0.75, 4), 'gv', 0.2, 8): '13bb4cee480556cfbaaf906e854bf1e67d03863646ef3c290812fd98cf7a3817',
+    (('random', 16, 0.75, 4), 'gv', 0.2, 15): '22d7bb935e4210f658335da36732e9b417ab5c6185f5407344fbbab3dcab52aa',
+    (('random', 16, 0.75, 4), 'gvw', None, (0, 1)): 'a631623b2d8db2ec0e3b0274946f8846ac20efaad1e36dbbbc0c3aa6cb81fd36',
+    (('random', 16, 0.75, 4), 'gvw', None, (8, 15)): '7de7116e4d979f5fd89d98156ff7e7f6db855d437d07f14556dfcbe6190eb688',
+    (('random', 20, 0.8, 5), 'g3', 0.1, None): 'd0f246e9a413551c604ba5f2bd742919e75b996894d7bb98bc73f663e1dd0aef',
+    (('random', 20, 0.8, 5), 'gv', 0.1, 0): '44ab19cdef622e537d02b79422f42353a0d411c44a559c498e778f1d5fc7a112',
+    (('random', 20, 0.8, 5), 'gv', 0.1, 10): 'bfe80554faf4f7bc2d4627d5c3e03f5092b57829a68b5a0beafff7848d0de8ee',
+    (('random', 20, 0.8, 5), 'gv', 0.1, 19): '22cf153138bac8de067b1b51bea9807f4128457028fd8e574101459b1d6a8f87',
+    (('random', 20, 0.8, 5), 'g3', 0.2, None): 'd3230f25afc2d7989aa74ef32fd6ce31eac6832ce6a2620c93c84cd7ba33463f',
+    (('random', 20, 0.8, 5), 'gv', 0.2, 0): '7251fc0f73dc8e19b881913c1a348eb392518fa775a385732725f0d63e4429d4',
+    (('random', 20, 0.8, 5), 'gv', 0.2, 10): 'ee43db94c138d4e96dd2601b340e7553000fdd71f1f1ba1a68c3bdeeb1aa302e',
+    (('random', 20, 0.8, 5), 'gv', 0.2, 19): '56651a449c31c84d05f1a3bff6489146650378b7f7a9c637b807b12169aa5281',
+    (('random', 20, 0.8, 5), 'gvw', None, (0, 1)): '32f15fb32499a7cccf77f40cd5dbafd4f45fa612bed9c6e7b1fe450a4759aca8',
+    (('random', 20, 0.8, 5), 'gvw', None, (10, 19)): 'f0d74df913f75ebc62ad22f21eeac3c5fa1bd1043b590a2a1503671bbd346be8',
+    (('random', 25, 0.85, 6), 'g3', 0.1, None): '1283ea5d1a1e9d2c547fa5c43b60addb5bf47bf83816fab9d387f4f03aee9d46',
+    (('random', 25, 0.85, 6), 'gv', 0.1, 0): '9c3ea87f4f61a92ef98ccbf859254c57266d431ecd7b85d959b819f6c9655b14',
+    (('random', 25, 0.85, 6), 'gv', 0.1, 12): 'bb4e5909403b88692d5ed3fa27fdb88ad9a24cf94869583259539d73b163a53e',
+    (('random', 25, 0.85, 6), 'gv', 0.1, 24): '1fa9f0a7e019f25984bac88d66e1c25ca241aaa512464adcbaf8bdf4755a2db0',
+    (('random', 25, 0.85, 6), 'g3', 0.2, None): 'b99dfaa3b3b385551521009ff2d64d64ecd6d54d526e104178be6cec5908b3d4',
+    (('random', 25, 0.85, 6), 'gv', 0.2, 0): 'f93c9779059535b68e65739fbbf037c1d0a970a0afed77b4e5f6489ebbaf74c5',
+    (('random', 25, 0.85, 6), 'gv', 0.2, 12): '8aa81fcb90738379a5250a6ce1f238547537cf9b9762973255ec04c15438f68c',
+    (('random', 25, 0.85, 6), 'gv', 0.2, 24): 'de68f5a4a305dcc387687cfe378d69325dfcaba58780666658527a925979f3fe',
+    (('random', 25, 0.85, 6), 'gvw', None, (0, 1)): '81bb6c2e0ac3a284913f461fd01ec5129fe908b945338b2a612d3a44074dd01b',
+    (('random', 25, 0.85, 6), 'gvw', None, (12, 24)): 'de24bf488374b77eccf4a64f9f3c921622f51312b5c59df2e590d79bd7a42285',
+    (('random', 30, 0.8, 7), 'g3', 0.1, None): '01d1851c0cf8341c29be9c4ef98cc8127067aa1ef52648a589735965c46a9ec8',
+    (('random', 30, 0.8, 7), 'gv', 0.1, 0): '9b672b0d81ccf485cd106bcaee11891e81c6359ba8d6241d69efb93ce349ca96',
+    (('random', 30, 0.8, 7), 'gv', 0.1, 15): '6d8f3dcdb76a3f688103259a744a000518b25e515564e10c230c4edb32650075',
+    (('random', 30, 0.8, 7), 'gv', 0.1, 29): '91f6415498f16f4926c029505120b1df965782557e8c1952763cb108b2df30cb',
+    (('random', 30, 0.8, 7), 'g3', 0.2, None): '07bbb200358957154c0bf0580a42fd0dad0a6d7293adf04d34c6e72b035bc924',
+    (('random', 30, 0.8, 7), 'gv', 0.2, 0): '99443ae20a856205f1d0ffa0d02f67219dd7372e04c8286f15a115cdf35d5def',
+    (('random', 30, 0.8, 7), 'gv', 0.2, 15): '1341271e971cdb1ac15ba789cec1254356c2790236c32454b44b02f4534dcfdf',
+    (('random', 30, 0.8, 7), 'gv', 0.2, 29): '52619429760fb36490f00c027ed4c8370c01bc36e2d44aa26a774df5ea3c21fc',
+    (('random', 30, 0.8, 7), 'gvw', None, (0, 1)): 'a441dcb30e5f5bd8c3ccd212be149ca5569c5482a4d8ec50a5f57a5213540945',
+    (('random', 30, 0.8, 7), 'gvw', None, (15, 29)): '25218c946de46301c4849880673c6c03bd26b5cc93f255f7f1b9aa344f594c1c',
+    (('complete', 10), 'g3', 0.1, None): '7cdd2af437862eaa7b9a65108cf3e1102408c696ab341d53d3492f9b1fa99eb9',
+    (('complete', 10), 'gv', 0.1, 0): 'db3a0008e8b0f22eff785bab854a81fd7d2907e14845a0727d82b37b907a9da7',
+    (('complete', 10), 'gv', 0.1, 5): '97c036b6ddae62c303f6cecc76a46c8f9cc0e92484727bcdc5f95b107d942dc0',
+    (('complete', 10), 'gv', 0.1, 9): 'f2f400d318ac764714f34a6dd94d150c70158d10c52b18006fec72f3f79b9b20',
+    (('complete', 10), 'g3', 0.2, None): '7cdd2af437862eaa7b9a65108cf3e1102408c696ab341d53d3492f9b1fa99eb9',
+    (('complete', 10), 'gv', 0.2, 0): 'db3a0008e8b0f22eff785bab854a81fd7d2907e14845a0727d82b37b907a9da7',
+    (('complete', 10), 'gv', 0.2, 5): '97c036b6ddae62c303f6cecc76a46c8f9cc0e92484727bcdc5f95b107d942dc0',
+    (('complete', 10), 'gv', 0.2, 9): 'f2f400d318ac764714f34a6dd94d150c70158d10c52b18006fec72f3f79b9b20',
+    (('complete', 10), 'gvw', None, (0, 1)): 'dd03055bee7fc09c4bde556b6217eb874c593065adfb2d305f0762977feb8776',
+    (('complete', 10), 'gvw', None, (5, 9)): 'c321e658bc3729170286c5aafe981c0a591f649ec418e1431bb4d81525da5bc9',
+    (('complete', 13), 'g3', 0.1, None): '725cc763495bf6df8784b12c48f36e5aa2ed2c22858a3703260d5c6ce8750352',
+    (('complete', 13), 'gv', 0.1, 0): '14523cfe627c1f4d95258da1313a0fe16458dd6276ddb1fdd5eb4ce0cb765038',
+    (('complete', 13), 'gv', 0.1, 6): 'f02eee5dbbc11e674cbeb8ad115eca10030b7395495fb8505dc5c3c95a6036f7',
+    (('complete', 13), 'gv', 0.1, 12): 'a3016138781a089b5335c0dd0c8a09f8050b2024b0c934a4dc044e40dff5f8f7',
+    (('complete', 13), 'g3', 0.2, None): '725cc763495bf6df8784b12c48f36e5aa2ed2c22858a3703260d5c6ce8750352',
+    (('complete', 13), 'gv', 0.2, 0): '14523cfe627c1f4d95258da1313a0fe16458dd6276ddb1fdd5eb4ce0cb765038',
+    (('complete', 13), 'gv', 0.2, 6): 'f02eee5dbbc11e674cbeb8ad115eca10030b7395495fb8505dc5c3c95a6036f7',
+    (('complete', 13), 'gv', 0.2, 12): 'a3016138781a089b5335c0dd0c8a09f8050b2024b0c934a4dc044e40dff5f8f7',
+    (('complete', 13), 'gvw', None, (0, 1)): '7a0c280231ff6c531cd298f5afe69929677a7f057d9bafd0b71c50c304d9aaea',
+    (('complete', 13), 'gvw', None, (6, 12)): '40e7f217956be57a381899d365eee98a77f638b5b8196c32b98b2e9d1e2f189b',
+    (('pikhurko', 16), 'g3', 0.1, None): '41729115c730d1f96cc3ddd0ac47eaa1649393d603adf9d40a2458dd225d7852',
+    (('pikhurko', 16), 'gv', 0.1, 0): '116b9771721586786aa51920c839030124d89baafb2ee47792c46426d0a472b9',
+    (('pikhurko', 16), 'gv', 0.1, 8): '15319c04441e52f6ec89f2edaafe69e52b5f6354bb70b6dc1cdfdd2f2ad48a42',
+    (('pikhurko', 16), 'gv', 0.1, 15): '767ee77a2aa49dd141b1bddb9ace9e3cf891a28d7b0d8f2b80b4f352182ca7fb',
+    (('pikhurko', 16), 'g3', 0.2, None): '57d4d7c33060beb24f764cd3e753398aa0a53cc55ce6ed53f347b310e7d2d43a',
+    (('pikhurko', 16), 'gv', 0.2, 0): 'f01373e8d804f8051323383a9819b29dc2159bc31874cc55d7db77aced6b44aa',
+    (('pikhurko', 16), 'gv', 0.2, 8): 'eae5cd47e824b7e6b814353573799498db4d2ae0cece68e774699d74608e859a',
+    (('pikhurko', 16), 'gv', 0.2, 15): '22d7bb935e4210f658335da36732e9b417ab5c6185f5407344fbbab3dcab52aa',
+    (('pikhurko', 16), 'gvw', None, (0, 1)): '75d2916adf77ab3416aa4ed412beb2f8e2d5ada16739897c605c071644763064',
+    (('pikhurko', 16), 'gvw', None, (8, 15)): '218cae8b0c1e5e1f3f5afe960c653263e0eba4ed3befd82f129de29c0b8304ec',
+    (('pikhurko', 20), 'g3', 0.1, None): 'dcbfc412ee86ae26d440185312413f85c255ab0e530ba685630c3b0f654051d1',
+    (('pikhurko', 20), 'gv', 0.1, 0): 'f26dc0561720a86bbb42efee3833ada7939f5092a5ff96207d03003798e5a320',
+    (('pikhurko', 20), 'gv', 0.1, 10): 'f62efa685fe364ac60506f12e95c44ecac424851e3c20ee66311e7d81d3b9c89',
+    (('pikhurko', 20), 'gv', 0.1, 19): 'd000725887542f2e32cd3e9a803ba020a7ab509be8ec4073c3d41e2498cefdc8',
+    (('pikhurko', 20), 'g3', 0.2, None): 'd3230f25afc2d7989aa74ef32fd6ce31eac6832ce6a2620c93c84cd7ba33463f',
+    (('pikhurko', 20), 'gv', 0.2, 0): 'd9f58e893348bc060426e9ba7e9f245812eab4fca404457ce54c6cab897dcdb1',
+    (('pikhurko', 20), 'gv', 0.2, 10): '88f0ccbdbae49df4a28e1d0d64346bcd968dfda606ef202f4f8ab80095d2d566',
+    (('pikhurko', 20), 'gv', 0.2, 19): '902552ae49451514d38713335108bacc0de0b9d559df46d12af7f548781990b0',
+    (('pikhurko', 20), 'gvw', None, (0, 1)): '1b4d5597daf95725d9470267c7202069675a02d4e112a32420c5986624d04705',
+    (('pikhurko', 20), 'gvw', None, (10, 19)): 'a883bba7118cc1667278332c444cc73d673755938a84cd599c7a1332caf16a2f',
+    (('dense_random', 60, 0.85, 0), 'g3', 0.005, None): '36bc80587347cad254d9bd74a3a9a73291de872e3cd22ef40bc67b0dd7f5aca5',
+    (('dense_random', 60, 0.85, 0), 'gv', 0.005, 0): '8a66474230f74b5f97d7122c8ef17a9ae767dbeffd4dfd4a0e32935d9a294662',
+    (('dense_random', 60, 0.85, 0), 'gv', 0.005, 30): '11d157defe83961e0a83d8c70ac0d01880311cd14f4e9542e7914c69f422d6b2',
+    (('dense_random', 60, 0.85, 0), 'gv', 0.005, 59): '878861793fe991551f0920e0d77130dd70743286aa45821133118d219445de0d',
+    (('dense_random', 60, 0.85, 0), 'g3', 0.2, None): '36bc80587347cad254d9bd74a3a9a73291de872e3cd22ef40bc67b0dd7f5aca5',
+    (('dense_random', 60, 0.85, 0), 'gv', 0.2, 0): '8a66474230f74b5f97d7122c8ef17a9ae767dbeffd4dfd4a0e32935d9a294662',
+    (('dense_random', 60, 0.85, 0), 'gv', 0.2, 30): '11d157defe83961e0a83d8c70ac0d01880311cd14f4e9542e7914c69f422d6b2',
+    (('dense_random', 60, 0.85, 0), 'gv', 0.2, 59): '878861793fe991551f0920e0d77130dd70743286aa45821133118d219445de0d',
+    (('dense_random', 60, 0.85, 0), 'gvw', None, (0, 1)): 'e3cf71456ec6ef9cd44972534c4ec55ab0f837eb63262af865a1f9c0e4e1a7b5',
+    (('dense_random', 60, 0.85, 0), 'gvw', None, (30, 59)): '5a68f0decea3b036a0affa9514588a0580f335fef71eaa4fdb66e677a85e0e8a',
+    (('dense_random', 60, 0.85, 1), 'g3', 0.005, None): '36bc80587347cad254d9bd74a3a9a73291de872e3cd22ef40bc67b0dd7f5aca5',
+    (('dense_random', 60, 0.85, 1), 'gv', 0.005, 0): '8a66474230f74b5f97d7122c8ef17a9ae767dbeffd4dfd4a0e32935d9a294662',
+    (('dense_random', 60, 0.85, 1), 'gv', 0.005, 30): '11d157defe83961e0a83d8c70ac0d01880311cd14f4e9542e7914c69f422d6b2',
+    (('dense_random', 60, 0.85, 1), 'gv', 0.005, 59): '878861793fe991551f0920e0d77130dd70743286aa45821133118d219445de0d',
+    (('dense_random', 60, 0.85, 1), 'g3', 0.2, None): '36bc80587347cad254d9bd74a3a9a73291de872e3cd22ef40bc67b0dd7f5aca5',
+    (('dense_random', 60, 0.85, 1), 'gv', 0.2, 0): '8a66474230f74b5f97d7122c8ef17a9ae767dbeffd4dfd4a0e32935d9a294662',
+    (('dense_random', 60, 0.85, 1), 'gv', 0.2, 30): '11d157defe83961e0a83d8c70ac0d01880311cd14f4e9542e7914c69f422d6b2',
+    (('dense_random', 60, 0.85, 1), 'gv', 0.2, 59): '878861793fe991551f0920e0d77130dd70743286aa45821133118d219445de0d',
+    (('dense_random', 60, 0.85, 1), 'gvw', None, (0, 1)): '7dfbb44a2e99800aa15d03aa896d7cdf479239ee442803a3e18de355d6d5b6bf',
+    (('dense_random', 60, 0.85, 1), 'gvw', None, (30, 59)): '6311fdbecfb4aa6a01b6b2815a870691ed31388c604d80cf3d137e3788e6e733',
+}
+
+# (graph, gamma, effort, seed) -> sha256 of the repr of
+# expansion_report(graph, gamma, effort, seed).  A graph is ("gnp", nv, p,
+# seed) or an auxiliary-graph cell as in AUX.  Graphs with at most 20
+# vertices take the exhaustive path, larger ones the seeded descent; gamma
+# 0.3 leaves no admissible side.  The last four cells are build-structure's
+# expansion calls: Gv of dense_random(60, 0.85, s) at beta 0.005, gamma 0.003.
+EXPANSION = {
+    (('gnp', 2, 0.5, 0), 0.003, 200, 0): 'e2aa4eb740ab9cc43cb7877ac42cdf6ee8758d9e6e4ea2edc4fc708783a34d6e',
+    (('gnp', 2, 0.5, 0), 0.05, 200, 0): '65a7c9516658a4d3b0d2a162bc866e75f3e75d6416c0881c7e97c0f5770cb764',
+    (('gnp', 2, 0.5, 0), 0.3, 200, 0): '3fb9310d69c76d0bb48ed4313b75e71763fc164a931c7fe2cae6c538ad6a1791',
+    (('gnp', 3, 1.0, 1), 0.003, 200, 0): '6d20ca690d0b1316d7b6f2127acb7f49b8ee37a3fc65b8d325398542560defa4',
+    (('gnp', 3, 1.0, 1), 0.05, 200, 0): 'e3bcb6482cbaf1eb38728856663764baee124276502854a43768fdd3d98edbbe',
+    (('gnp', 3, 1.0, 1), 0.3, 200, 0): '89e5a93fd9a2de2ee5d9738a3ed118d23fbe7b9bd1602e3cc24688434f73cfbd',
+    (('gnp', 5, 0.5, 1), 0.003, 200, 0): '5489517cce38a58d31169d9b3cc76372c20581d43b4c4e59200d16eb78b24627',
+    (('gnp', 5, 0.5, 1), 0.05, 200, 0): '604fdbb777fb2fe6aa50028fe4e4aaba13c76765699ec7904221aaa02ae056a6',
+    (('gnp', 5, 0.5, 1), 0.3, 200, 0): '54cfb6ddf9ec761b80baa873ccafb41a210cf31f9e098b014205e7611e800eda',
+    (('gnp', 9, 0.3, 2), 0.003, 200, 0): 'a7ad2d4a401c59d2eb8474c8034a9974a328ff8c8fe33370c106a3ea1bf5b96e',
+    (('gnp', 9, 0.3, 2), 0.05, 200, 0): 'ce70291973ece944c6103f645d58adfbe2dfc50e21e5066f0bbe4b7f49352ec7',
+    (('gnp', 9, 0.3, 2), 0.3, 200, 0): '0de38f7a0d5305e0d0d21a989a8e4021790310df3bdb3c18a0b5b7e25b39340d',
+    (('gnp', 12, 0.5, 3), 0.003, 200, 0): 'ae13b7c0e8bd066c76f3586e018c48aa0089ced6ffe0e8fce1a97f4308a8a6b2',
+    (('gnp', 12, 0.5, 3), 0.05, 200, 0): 'ec1c08a3bda735c923f90f62fee919a3ab0182f9c6231ea9c30d020b2599f0ab',
+    (('gnp', 12, 0.5, 3), 0.3, 200, 0): 'f5390e7b4ea36fadf0821dd1dc661191a868c120f48e9f685279911ed1625fe2',
+    (('gnp', 14, 0.2, 4), 0.003, 200, 0): '1b6ee9b62c595529d8098fa197d9c3e8d0428edc05bfc7aa4775e7e8b1439ce5',
+    (('gnp', 14, 0.2, 4), 0.05, 200, 0): '92887454556d9fc3bfe20e154e804250a9729b34cd16c2a39e91be85a88b177c',
+    (('gnp', 14, 0.2, 4), 0.3, 200, 0): '35b68abd8a67fae58f4248987dedac9efe0ad716e822028ff8ff958d2e9a87a8',
+    (('gnp', 16, 0.6, 5), 0.003, 200, 0): '00e67115e1cba64e3c848605e44540926a8bd2a2bf70201facb239582704131f',
+    (('gnp', 16, 0.6, 5), 0.05, 200, 0): '51b596ff2de658b025a3e0684d9a35af1ee0b9daf07e0a6b0496a0a0260a9d8e',
+    (('gnp', 16, 0.6, 5), 0.3, 200, 0): 'f417dadf9ec4ce323e96332b885a5199a122dbaa10b1e4dcd59ad7413280b2ed',
+    (('gnp', 18, 0.1, 6), 0.003, 200, 0): 'd022c6fdab452822f1fa590de0a74e5c81ecbb8396506ef7507c62a2c2e6e763',
+    (('gnp', 20, 0.4, 7), 0.05, 200, 0): 'ad6b76b7eec692e307ffd9befb868cd49875cab2d030a94451b0d220a331f42c',
+    ((('random', 12, 0.8, 3), 'gv', 0.1, 0), 0.05, 200, 0): 'f6133dd1c46826ea6d8ca4395273b861d70a3b63d278cee266792b1cc2a4b616',
+    ((('random', 12, 0.8, 3), 'gv', 0.1, 6), 0.05, 200, 0): 'deb4b2a9f58e42b7a86adc1237bca23848d55df04462d203125adafdc0e66b34',
+    ((('pikhurko', 16), 'gv', 0.1, 15), 0.05, 200, 0): '82582c3e0c443ce979d157481261b2158e949ca5777b3341b5a76f4fff590f4e',
+    ((('random', 16, 0.75, 4), 'g3', 0.1, None), 0.05, 200, 0): '94364fff9e57f535aeecf4a2a2fd2bcb0654407030498dcd478bf60bc66b5fcb',
+    ((('pikhurko', 16), 'gvw', None, (0, 5)), 0.05, 200, 0): '69f08573f89d4041a13cc11d6e6f5e815d7a3906fc14a4d7246e1bc66b7d25ac',
+    (('gnp', 21, 0.5, 0), 0.003, 200, 0): '48ee3152f5fe540ad7a776e530d26e06b0265af1fd81757772404d1d0df92e3e',
+    (('gnp', 21, 0.5, 0), 0.05, 60, 1): '9bb58e6a7175650df833d47bf3dd3827cf63627d822b68545f56d9a29a0a3f4c',
+    (('gnp', 21, 0.5, 0), 0.3, 200, 0): '7e28c115f8805df9642a57ecd9d3a9809df1152fe658de40028f70444dee3bed',
+    (('gnp', 23, 0.2, 1), 0.003, 200, 0): '5aadf32d607e498391bbdddba758c39350d391e9de0c9e89b471aaf369c47578',
+    (('gnp', 23, 0.2, 1), 0.05, 60, 1): '23377312faf4fe5583c95d237f2f6193553bc077822e9944b4611303ed295f99',
+    (('gnp', 23, 0.2, 1), 0.3, 200, 0): '08035dd04f0ff8ca7cf8eb9faa54b3950df6714257ff4b33be94e1b6e1632287',
+    (('gnp', 30, 0.05, 2), 0.003, 200, 0): 'e5431d4e560f8cc86cdefff0062f42bc2543a5aad3ca7bac0cad8b64af5ff5e4',
+    (('gnp', 30, 0.05, 2), 0.05, 60, 1): 'dffcfd8872663d15146d87351144f1a658dd27aa41ed91ee02d27c9d97131ff6',
+    (('gnp', 30, 0.05, 2), 0.3, 200, 0): '855bf1b14590857618be02370baa9edb3fd4cc4b947b54f540c336b7864bf09e',
+    (('gnp', 40, 0.1, 3), 0.003, 200, 0): '624ef84422c992c29c0faa80c9f1ac79ecd36834e3ec0a215af17ba02dead641',
+    (('gnp', 40, 0.1, 3), 0.05, 60, 1): '334fd99db1c85ec79f3d5f79ce206167bcf87707290b28ada82d8febf6bf1d8b',
+    (('gnp', 40, 0.1, 3), 0.3, 200, 0): '661bc5f36aeff1c16a148388d4de691ffe20eb2dfa7e4d2d96da227267e90136',
+    (('gnp', 45, 0.7, 5), 0.003, 200, 0): 'ebf7011bdd5e9c31214be4cbfe136d0fb6809fd2f969d9e133eb3e3be9d8489c',
+    (('gnp', 45, 0.7, 5), 0.05, 60, 1): 'e40ca1ce7b4298a3dfbcd54bbdbf7da7bc5b3e437063c30870c83d5775acdc67',
+    (('gnp', 45, 0.7, 5), 0.3, 200, 0): '2397d680b762f6213165433b0d5a9c6afd88c5f37aadd93a26705956133e0eaf',
+    (('gnp', 59, 0.03, 4), 0.003, 200, 0): '267138d9bdb6b15cce0ad305d62855ccc0aed67f0546a3ec85e54fc19a44ee66',
+    (('gnp', 59, 0.03, 4), 0.05, 60, 1): 'a3738076f36f0673ebda8b91e5d5c4253620ba963b05fa560ed31b54e011f65b',
+    (('gnp', 59, 0.03, 4), 0.3, 200, 0): '70f2371cb9778ce75ce5f75ed257d0d2686b1bef3f8dd4b8ee78d0ffcb8aa59c',
+    (('gnp', 30, 0.3, 8), 0.02, 0, 4): '5ce7ea9dd5320fd1d533f501ad0312dae15d0d21da8e15721b1953688c6c5f8d',
+    ((('random', 30, 0.8, 7), 'g3', 0.1, None), 0.05, 40, 2): '205ddd17a568016539475287d5e165e36e811bd495f8b8f26fb016887714b21d',
+    ((('pikhurko', 24), 'gv', 0.1, 23), 0.05, 40, 2): 'cd6ea0139cc6d074489a981f829869e56e87433ceab213839d44b29a764947fd',
+    ((('dense_random', 60, 0.85, 0), 'gv', 0.005, 0), 0.003, 200, 0): '43b21ffb0cf7f0ea21792b2482ffdb4add8b87fcc501f3c87cf2530fff261bee',
+    ((('dense_random', 60, 0.85, 0), 'gv', 0.005, 1), 0.003, 200, 7): 'e77a41a6b3c1257b48406fae9b8be28c80016ebc9d2583e82a1fd38033fbfec0',
+    ((('dense_random', 60, 0.85, 1), 'gv', 0.005, 2), 0.003, 200, 123456789): '31336c9a84e77e57d0ffc6f8d8690fcdcc8606a1c223849c6fec4c8f14b821db',
+    ((('dense_random', 60, 0.85, 1), 'gv', 0.005, 3), 0.003, 200, 42): '8f70e28814349f04fe9ade703a8ce6f726dd03a98b95798c9ff2ac53ea283fb9',
+}
+
+# (graph, source, length) -> sha256 of the walk counts of walk_count_table
+WALKS = {
+    (('gnp', 6, 0.5, 1), 0, 0): 'e3659757e5e94ae0e2916067530d7cf07bf65303aca01828386586c882ccc4f8',
+    (('gnp', 6, 0.5, 1), 0, 1): '32c0ac1ab31da914ea62229c9778e1936d9133357ff7039125bcce5aa4fe6694',
+    (('gnp', 6, 0.5, 1), 0, 3): 'c24aa294f70db30b7076b3ebba453425c7eaaae8313a601130da4b158282cdfd',
+    (('gnp', 6, 0.5, 1), 0, 6): 'e7bc111b3224946b4d9f5b6cf382849fe24c5e7d55c2960ba54fe3e981e9c08c',
+    (('gnp', 12, 0.4, 2), 5, 0): 'd911d156adb489fdeb0c6add5a8e66d11c1b1b912af8f711569031b474857703',
+    (('gnp', 12, 0.4, 2), 5, 1): '03fd1610cfa5cd614d003d123e34e4d067bce086889b6450a49f49c34645de2f',
+    (('gnp', 12, 0.4, 2), 5, 3): '3404a13980c72ab56b9333a2901309172e8d1ac6547d9cfc0458fe7f279cba9f',
+    (('gnp', 12, 0.4, 2), 5, 6): '21e47de0dd43f908aeb3142e83ef0f2b0363c540247af5d736080048e785275c',
+    ((('complete', 10), 'g3', 0.3, None), 3, 0): '23ad618fc9086638e0900a45bf5b04860ca3694ea265a738cad62761659131e9',
+    ((('complete', 10), 'g3', 0.3, None), 3, 1): 'b1c10551f486c192c4f4aa1c1255186ff79a2a33f319eeb6942ed131d60e4c5b',
+    ((('complete', 10), 'g3', 0.3, None), 3, 3): '4c0ed5143da434c1fe59e56850fb2ea5ddc089f97f1d2b839934c8af0744c277',
+    ((('complete', 10), 'g3', 0.3, None), 3, 6): '1db0b9b87f0c1c77549ebfcad343dabb24cabc026ae33eb374b610dc886c38ae',
+    ((('random', 12, 0.8, 3), 'gv', 0.1, 0), 4, 0): '4748ea904637bf5101670557463eafdd4b0848d96b8a320e563a622c079f3af3',
+    ((('random', 12, 0.8, 3), 'gv', 0.1, 0), 4, 1): '16c65f05e7bd09abfc6d7fd4c95bd23e306c35d8708b243e3dc28769f517fc91',
+    ((('random', 12, 0.8, 3), 'gv', 0.1, 0), 4, 3): '9a20e74bd739a9cdb80ff0c614eaff6d9e0d888aa26c5e8a380b5f5fe98701a3',
+    ((('random', 12, 0.8, 3), 'gv', 0.1, 0), 4, 6): '417d933378ae3feeebc79bd80aa375166762d4449dad1dd13588a0994f3d669b',
+    ((('pikhurko', 16), 'gvw', None, (0, 5)), 6, 0): 'c453960d5de85b41199a2571c22ef5ba8934d8ca920bff8925ec439f3144cd2f',
+    ((('pikhurko', 16), 'gvw', None, (0, 5)), 6, 1): 'ce299ba919c23b2216689a037071ba4a12f7d33ba2c01822e1e4db7542ee1275',
+    ((('pikhurko', 16), 'gvw', None, (0, 5)), 6, 3): '0a4d34ddbdb334a82ddf54b51ab60ffc5aaee16052a346bc516590b4b430f907',
+    ((('pikhurko', 16), 'gvw', None, (0, 5)), 6, 6): 'c63a2413bd1f7b3e8a8c844c9fb8d36dafcfc06e44eaa22eff71a1e0d146638a',
+}
+
+
 def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -296,7 +543,43 @@ def _instance(spec):
         return pikhurko(*args)[0]
     if kind == "dense_instance":
         return dense_instance(*args)
+    if kind == "random":
+        return random_hypergraph(*args)
     return _dense_random(*args)
+
+
+def _aux_graph(spec, kind, beta, apex):
+    h = _instance(spec)
+    if kind == "g3":
+        return build_g3(h, beta)
+    if kind == "gv":
+        return build_gv(h, apex, beta)
+    return build_gvw(h, *apex)
+
+
+def _graph(spec):
+    """("gnp", nv, p, seed): each pair of range(nv) an edge with
+    probability p; otherwise ``(instance, kind, beta, apex)`` of an
+    auxiliary graph."""
+    if spec[0] != "gnp":
+        return _aux_graph(*spec)
+    _kind, nv, p, seed = spec
+    rng = random.Random(seed)
+    edges = [e for e in itertools.combinations(range(nv), 2) if rng.random() < p]
+    return AuxGraph.from_edges(nv, range(nv), edges)
+
+
+def aux_record(spec, kind, beta, apex):
+    g = _aux_graph(spec, kind, beta, apex)
+    return text_digest(repr((g.vmask, list(g.edges()))))
+
+
+def expansion_record(graph, gamma, effort, seed):
+    return text_digest(repr(expansion_report(_graph(graph), gamma, effort, seed)))
+
+
+def walks_record(graph, source, length):
+    return text_digest(repr(walk_count_table(_graph(graph), source, length).counts))
 
 
 def tiling_record(spec, fraction, seed):
@@ -444,3 +727,18 @@ def test_cli_output(cell, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
     code = main(list(argv))
     assert text_digest(repr((code, capsys.readouterr().out))) == CLI[cell]
+
+
+@pytest.mark.parametrize("cell", list(AUX))
+def test_aux_graph(cell):
+    assert aux_record(*cell) == AUX[cell]
+
+
+@pytest.mark.parametrize("cell", list(EXPANSION))
+def test_expansion_report(cell):
+    assert expansion_record(*cell) == EXPANSION[cell]
+
+
+@pytest.mark.parametrize("cell", list(WALKS))
+def test_walk_counts(cell):
+    assert walks_record(*cell) == WALKS[cell]
