@@ -15,7 +15,6 @@ from .absorber import (
 )
 from .auxgraphs import (
     ExpansionReport,
-    WalkCountTable,
     build_g3,
     build_gv,
     build_gvw,

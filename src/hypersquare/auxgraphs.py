@@ -3,9 +3,11 @@
 The three graph families encode how richly pairs of vertices are joined by
 tetrahedra: G3 on all vertices (shared tetrahedron completions of an edge),
 Gv relative to a fixed apex v, and Gvw on the joint neighborhood of a fixed
-pair.  Counts use ordered tuples, exactly matching the set-builder
-definitions; the unordered counters below are scaled by 6 resp. 2 to avoid a
-silent factor.
+pair.  G3 and Gv count the same thing, edges whose tetrahedron completions
+two vertices share, over different anchor pairs (every pair for G3, the
+pairs v a for Gv), so one incidence builder makes both.  Counts use ordered
+tuples, exactly matching the set-builder definitions; the unordered counters
+are scaled by 6 resp. 2 to avoid a silent factor.
 """
 
 from __future__ import annotations
@@ -17,17 +19,22 @@ import random
 from .core import AuxGraph, Hypergraph3, bits_of, derive_seed
 
 
-def build_g3(h: Hypergraph3, beta: float) -> AuxGraph:
-    """Graph on all vertices; xy adjacent iff the number of ordered triples
-    (a, b, c) with both abcx and abcy tetrahedra is at least beta * n**3."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
+def _shared_tetrahedra_graph(
+    h: Hypergraph3,
+    vmask: int,
+    anchors: list[tuple[int, int]],
+    scale: int,
+    threshold: float,
+) -> AuxGraph:
+    """Graph on ``vmask``; xy adjacent iff ``scale`` times the number of
+    edges abc with (a, b) an anchor, c > b, and both abcx and abcy
+    tetrahedra is at least ``threshold``."""
     n = h.n
     pn = h._pn
-    # incidence[x] holds one bit per edge abc (a < b < c) with abcx a
-    # tetrahedron, so the pair count is a popcount of an AND.  Pair ab owns
-    # one chunk of ``width`` bytes in every incidence[x]; bit c - b - 1 of it
-    # stands for the edge abc.  For x in N(a, b), the c it holds are
+    # incidence[x] holds one bit per such edge abc with abcx a tetrahedron,
+    # so the pair count is a popcount of an AND.  Anchor ab owns one chunk
+    # of ``width`` bytes in every incidence[x]; bit c - b - 1 of it stands
+    # for the edge abc.  For x in N(a, b), the c it holds are
     # N(a, b) & N(a, x) & N(b, x) above b.  Chunks are joined as bytes, as
     # ORing bits into a growing int would be quadratic.
     width = (n + 7) // 8
@@ -35,29 +42,35 @@ def build_g3(h: Hypergraph3, beta: float) -> AuxGraph:
     incidence = []
     for x in range(n):
         chunks = []
-        for a in range(n):
-            row_a = pn[a]
-            ax = row_a[x]
-            for b in range(a + 1, n):
-                ab = row_a[b]
-                if (ab >> x) & 1:
-                    chunk = (ab & ax & pn[b][x]) >> (b + 1)
-                    chunks.append(chunk.to_bytes(width, "little"))
-                else:
-                    chunks.append(empty)
+        for a, b in anchors:
+            ab = pn[a][b]
+            if (ab >> x) & 1:
+                chunk = (ab & pn[a][x] & pn[b][x]) >> (b + 1)
+                chunks.append(chunk.to_bytes(width, "little"))
+            else:
+                chunks.append(empty)
         incidence.append(int.from_bytes(b"".join(chunks), "little"))
-    threshold = beta * n**3
     adj = [0] * n
-    for x in range(n):
+    members = list(bits_of(vmask))
+    for xi, x in enumerate(members):
         ix = incidence[x]
         if not ix:
             continue
-        for y in range(x + 1, n):
-            shared = (ix & incidence[y]).bit_count()
-            if 6 * shared >= threshold:
+        for y in members[xi + 1 :]:
+            if scale * (ix & incidence[y]).bit_count() >= threshold:
                 adj[x] |= 1 << y
                 adj[y] |= 1 << x
-    return AuxGraph(n, h.full_mask, adj)
+    return AuxGraph(n, vmask, adj)
+
+
+def build_g3(h: Hypergraph3, beta: float) -> AuxGraph:
+    """Graph on all vertices; xy adjacent iff the number of ordered triples
+    (a, b, c) with both abcx and abcy tetrahedra is at least beta * n**3."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
+    n = h.n
+    anchors = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return _shared_tetrahedra_graph(h, h.full_mask, anchors, 6, beta * n**3)
 
 
 def build_gv(h: Hypergraph3, v: int, beta: float) -> AuxGraph:
@@ -67,33 +80,10 @@ def build_gv(h: Hypergraph3, v: int, beta: float) -> AuxGraph:
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     n = h.n
-    pn = h._pn
-    link_pairs = []
-    for a in range(n):
-        if a == v:
-            continue
-        for b in bits_of(pn[v][a]):
-            if b > a:
-                link_pairs.append((a, b))
-    incidence = [0] * n
-    for i, (a, b) in enumerate(link_pairs):
-        # w completing {a, b, v} to a tetrahedron
-        for w in bits_of(pn[a][b] & pn[a][v] & pn[b][v]):
-            incidence[w] |= 1 << i
+    # the edges v a b with b > a are exactly v's link pairs ab
+    anchors = [(v, a) for a in range(n) if a != v]
     vmask = h.full_mask & ~(1 << v)
-    threshold = beta * n**2
-    adj = [0] * n
-    members = list(bits_of(vmask))
-    for xi, x in enumerate(members):
-        ix = incidence[x]
-        if not ix:
-            continue
-        for y in members[xi + 1 :]:
-            shared = (ix & incidence[y]).bit_count()
-            if 2 * shared >= threshold:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    return AuxGraph(n, vmask, adj)
+    return _shared_tetrahedra_graph(h, vmask, anchors, 2, beta * n**2)
 
 
 def build_gvw(h: Hypergraph3, v: int, w: int) -> AuxGraph:
@@ -110,16 +100,9 @@ def build_gvw(h: Hypergraph3, v: int, w: int) -> AuxGraph:
     return AuxGraph(h.n, vset, adj)
 
 
-@dataclasses.dataclass(frozen=True)
-class WalkCountTable:
-    """Exact per-target walk counts of a fixed length from one source."""
-
-    source: int
-    length: int
-    counts: tuple[int, ...]
-
-
-def walk_count_table(g: AuxGraph, source: int, length: int) -> WalkCountTable:
+def walk_count_table(g: AuxGraph, source: int, length: int) -> tuple[int, ...]:
+    """Exact number of walks of ``length`` from ``source`` to each vertex,
+    indexed by vertex."""
     if not g.has_vertex(source):
         raise ValueError(f"source {source} not in the graph")
     if length < 0:
@@ -131,7 +114,7 @@ def walk_count_table(g: AuxGraph, source: int, length: int) -> WalkCountTable:
         for v in bits_of(g.vmask):
             nxt[v] = sum(counts[u] for u in bits_of(g.neighbors_mask(v)))
         counts = nxt
-    return WalkCountTable(source, length, tuple(counts))
+    return tuple(counts)
 
 
 def count_walks(g: AuxGraph, x: int, y: int, s: int) -> int:
@@ -140,7 +123,7 @@ def count_walks(g: AuxGraph, x: int, y: int, s: int) -> int:
         raise ValueError("walk endpoints must be graph vertices")
     if s < 0:
         raise ValueError("walk length must be nonnegative")
-    return walk_count_table(g, x, s).counts[y]
+    return walk_count_table(g, x, s)[y]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,8 +171,9 @@ def expansion_report(
 
     best_crossing = None
     best_side: tuple[int, ...] = ()
+    exhaustive = nv <= 20
 
-    if nv <= 20:
+    if exhaustive:
         if nv >= 2 and side_min <= nv / 2:
             anchor, rest = members[0], members[1:]
             for sub in range(1 << len(rest)):
@@ -206,51 +190,43 @@ def expansion_report(
                 if best_crossing is None or cut < best_crossing:
                     best_crossing = cut
                     best_side = tuple(bits_of(xmask))
-        return ExpansionReport(
-            gamma,
-            threshold,
-            side_min,
-            True,
-            best_crossing is not None and best_crossing < threshold,
-            best_side,
-            best_crossing,
-        )
-
-    rng = random.Random(derive_seed(seed, "expansion"))
-    lo = math.ceil(side_min)
-    hi = nv - lo
-    for _ in range(max(1, effort)):
-        if lo > hi:
-            break
-        size = rng.randint(lo, hi)
-        side = rng.sample(members, size)
-        xmask = 0
-        for v in side:
-            xmask |= 1 << v
-        cut = _crossing(adjrows, xmask, g.vmask & ~xmask)
-        improved = True
-        while improved:
-            improved = False
-            for v in members:
-                inx = bool((xmask >> v) & 1)
-                xsize = xmask.bit_count()
-                if inx and xsize - 1 < lo:
-                    continue
-                if not inx and nv - (xsize + 1) < lo:
-                    continue
-                new_xmask = xmask ^ (1 << v)
-                new_cut = _crossing(adjrows, new_xmask, g.vmask & ~new_xmask)
-                if new_cut < cut:
-                    xmask, cut = new_xmask, new_cut
-                    improved = True
-        if best_crossing is None or cut < best_crossing:
-            best_crossing = cut
-            best_side = tuple(bits_of(xmask))
+    else:
+        rng = random.Random(derive_seed(seed, "expansion"))
+        lo = math.ceil(side_min)
+        hi = nv - lo
+        for _ in range(max(1, effort)):
+            if lo > hi:
+                break
+            xsize = rng.randint(lo, hi)
+            xmask = 0
+            for v in rng.sample(members, xsize):
+                xmask |= 1 << v
+            cut = _crossing(adjrows, xmask, g.vmask & ~xmask)
+            improved = True
+            while improved:
+                improved = False
+                for v in members:
+                    inx = (xmask >> v) & 1
+                    if (xsize - 1 if inx else nv - xsize - 1) < lo:
+                        continue
+                    # moving v makes its edges into its own side cross and
+                    # its crossing edges internal
+                    row = adjrows[v]
+                    own = (row & (xmask if inx else ~xmask)).bit_count()
+                    new_cut = cut + 2 * own - row.bit_count()
+                    if new_cut < cut:
+                        xmask ^= 1 << v
+                        xsize = xmask.bit_count()
+                        cut = new_cut
+                        improved = True
+            if best_crossing is None or cut < best_crossing:
+                best_crossing = cut
+                best_side = tuple(bits_of(xmask))
     return ExpansionReport(
         gamma,
         threshold,
         side_min,
-        False,
+        exhaustive,
         best_crossing is not None and best_crossing < threshold,
         best_side,
         best_crossing,

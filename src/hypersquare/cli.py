@@ -187,9 +187,9 @@ def _cmd_aux(args, argv) -> int:
         if args.v is None or args.length is None or args.beta is None:
             raise _UsageError("aux walks needs --v (source), --length and --beta")
         g = build_g3(h, args.beta)
-        table = walk_count_table(g, args.v, args.length)
+        counts = walk_count_table(g, args.v, args.length)
         lines = ["vertex,walks"]
-        lines += [f"{v},{table.counts[v]}" for v in g.vertices()]
+        lines += [f"{v},{counts[v]}" for v in g.vertices()]
         _emit("\n".join(lines))
         return EXIT_OK
     if args.kind == "g3":

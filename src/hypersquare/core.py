@@ -334,13 +334,18 @@ class AuxGraph:
         return 0 <= v < self.n and bool((self.vmask >> v) & 1)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and bool((self._adj[u] >> v) & 1)
+        """Edge membership; total over ints (out-of-range yields False)."""
+        n = self.n
+        return 0 <= u < n and 0 <= v < n and bool((self._adj[u] >> v) & 1)
 
     def neighbors_mask(self, v: int) -> int:
+        # the range check matters: _adj[-1] would silently read the last row
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v!r} out of range [0, {self.n})")
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self.neighbors_mask(v).bit_count()
 
     @property
     def num_vertices(self) -> int:

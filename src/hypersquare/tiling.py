@@ -363,9 +363,14 @@ def cover_with_squared_paths(
         raise ValueError("q must be a positive multiple of 4")
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
-    dom_mask = h.full_mask if domain is None else (
-        domain if isinstance(domain, int) else mask_of(domain)
-    )
+    if domain is None:
+        dom_mask = h.full_mask
+    elif isinstance(domain, int):
+        if domain < 0 or domain >> h.n:
+            raise ValueError(f"domain mask has bits outside [0, {h.n})")
+        dom_mask = domain
+    else:
+        dom_mask = mask_of(h.check_vertex(v, "domain vertex") for v in domain)
     order = list(range(h.n))
     if seed is not None:
         random.Random(seed).shuffle(order)

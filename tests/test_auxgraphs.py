@@ -82,15 +82,30 @@ class TestGv:
     def test_empty(self):
         assert build_gv(Hypergraph3(8), 3, 0.1).num_edges == 0
 
-    def test_counts_match_enumeration(self):
-        h = random_hypergraph(7, 0.9, seed=13)
-        g = build_gv(h, 3, 0.05)
-        thr = 0.05 * 7**2
-        for x in range(7):
-            for y in range(x + 1, 7):
-                if x == 3 or y == 3:
-                    continue
-                assert g.has_edge(x, y) == (ordered_pairs_gv(h, 3, x, y) >= thr)
+    @pytest.mark.parametrize(
+        "n, p, seed, v, beta",
+        [
+            (7, 0.9, 13, 3, 0.22),
+            (8, 0.85, 21, 0, 0.12),
+            (9, 0.8, 22, 8, 0.07),
+            (9, 0.9, 25, 0, 0.2),
+            (10, 0.85, 23, 4, 0.13),
+            (11, 0.9, 24, 10, 0.15),
+        ],
+    )
+    def test_counts_match_enumeration(self, n, p, seed, v, beta):
+        h = random_hypergraph(n, p, seed=seed)
+        g = build_gv(h, v, beta)
+        thr = beta * n**2
+        verdicts = set()
+        for x, y in itertools.combinations(range(n), 2):
+            if v in (x, y):
+                continue
+            adjacent = ordered_pairs_gv(h, v, x, y) >= thr
+            assert g.has_edge(x, y) == adjacent
+            verdicts.add(adjacent)
+        # the threshold splits the pairs
+        assert verdicts == {False, True}
 
     def test_beta_monotone(self):
         h = random_hypergraph(8, 0.8, seed=14)
@@ -159,8 +174,8 @@ class TestWalkCounts:
 
     def test_table_row_one_is_adjacency(self):
         g = AuxGraph.from_edges(5, range(5), [(0, 1), (0, 2), (2, 3)])
-        table = walk_count_table(g, 0, 1)
-        assert [table.counts[v] for v in range(5)] == [0, 1, 1, 0, 0]
+        counts = walk_count_table(g, 0, 1)
+        assert [counts[v] for v in range(5)] == [0, 1, 1, 0, 0]
 
     def test_matches_enumeration(self):
         rng = random.Random(17)
@@ -219,6 +234,20 @@ class TestExpansionReport:
         assert not rep.exhaustive
         assert rep.violation_found
         assert rep.best_crossing == 0
+
+    @pytest.mark.parametrize(
+        "nv, p, gamma",
+        [(8, 0.5, 0.05), (14, 0.2, 0.01), (19, 0.4, 0.1), (24, 0.3, 0.05), (40, 0.08, 0.02)],
+    )
+    def test_best_side_has_its_crossing(self, nv, p, gamma):
+        rng = random.Random(nv)
+        edges = [e for e in itertools.combinations(range(nv), 2) if rng.random() < p]
+        g = AuxGraph.from_edges(nv, range(nv), edges)
+        rep = expansion_report(g, gamma, effort=30, seed=2)
+        assert rep.exhaustive == (nv <= 20)
+        xs = set(rep.best_side)
+        assert rep.best_crossing == sum((u in xs) != (v in xs) for u, v in edges)
+        assert min(len(xs), nv - len(xs)) >= rep.side_min
 
     def test_deterministic(self):
         rng = random.Random(18)

@@ -342,6 +342,24 @@ class TestAuxGraphType:
         assert g.degree(1) == 2
         assert g.min_degree() == 0
 
+    @pytest.mark.parametrize("u, v", [(0, -1), (-1, 1), (1, 4), (4, 1), (0, 99)])
+    def test_has_edge_total_over_ints(self, u, v):
+        g = AuxGraph.from_edges(4, range(4), [(0, 1), (0, 3), (1, 2)])
+        assert not g.has_edge(u, v)
+
+    @pytest.mark.parametrize("v", [-1, -4, 4])
+    def test_out_of_range_vertex_rejected(self, v):
+        g = AuxGraph.from_edges(4, range(4), [(0, 3), (1, 3)])
+        with pytest.raises(ValueError):
+            g.neighbors_mask(v)
+        with pytest.raises(ValueError):
+            g.degree(v)
+
+    def test_non_vertex_in_range_has_empty_row(self):
+        g = AuxGraph.from_edges(4, [0, 1, 3], [(0, 3)])
+        assert g.neighbors_mask(2) == 0
+        assert g.degree(2) == 0
+
 
 class TestTextFormat:
     def test_roundtrip(self):

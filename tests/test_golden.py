@@ -579,7 +579,7 @@ def expansion_record(graph, gamma, effort, seed):
 
 
 def walks_record(graph, source, length):
-    return text_digest(repr(walk_count_table(_graph(graph), source, length).counts))
+    return text_digest(repr(walk_count_table(_graph(graph), source, length)))
 
 
 def tiling_record(spec, fraction, seed):

@@ -271,6 +271,20 @@ class TestCover:
         assert all(v < 8 for p in res.paths for v in p.vertices)
         assert res.uncovered <= set(range(8))
 
+    @pytest.mark.parametrize(
+        "domain", [[0, 1, 2, 3, 9], [-1, 0], [8], 1 << 12, 1 << 8, -1]
+    )
+    def test_out_of_range_domain_rejected(self, domain):
+        with pytest.raises(ValueError):
+            cover_with_squared_paths(complete(8), 4, 0.5, domain=domain)
+
+    def test_domain_mask_matches_list(self):
+        h = random_hypergraph(12, 0.9, seed=47)
+        listed = cover_with_squared_paths(h, 4, 0.5, seed=1, domain=[0, 2, 3, 5, 7, 8, 11])
+        masked = cover_with_squared_paths(h, 4, 0.5, seed=1, domain=0b100110101101)
+        assert [p.vertices for p in listed.paths] == [p.vertices for p in masked.paths]
+        assert listed.uncovered == masked.uncovered
+
     def test_deterministic(self):
         h = random_hypergraph(14, 0.8, seed=46)
         a = cover_with_squared_paths(h, 4, 0.5, seed=7)
