@@ -58,12 +58,12 @@ def enumerate_v_absorbers(
     excl = exclude if isinstance(exclude, int) else mask_of(exclude)
     base = h.full_mask & ~excl & ~(1 << v)
     pn = h._pn
-    order = list(range(h.n))
-    if seed is not None:
-        random.Random(seed).shuffle(order)
+    order = list(range(h.n)) if seed is None else _shuffled_range(h.n, seed)
 
     def picks(mask: int):
-        return [u for u in order if (mask >> u) & 1]
+        # lazy, so a limited search stops scanning at its last tuple, and
+        # an empty mask skips the scan
+        return (u for u in order if (mask >> u) & 1) if mask else ()
 
     out: list[tuple[int, ...]] = []
     for a in picks(base):
@@ -95,6 +95,20 @@ def enumerate_v_absorbers(
                             if limit is not None and len(out) >= limit:
                                 return out
     return out
+
+
+def _shuffled_range(n: int, seed: int) -> list[int]:
+    """list(range(n)) after random.Random(seed).shuffle: the same
+    Fisher-Yates steps and rejection draws, without the per-step calls."""
+    order = list(range(n))
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 def absorbable_mask(h: Hypergraph3, t) -> int:
@@ -169,23 +183,21 @@ def build_absorber_family(
     selected: list[tuple[int, ...]] = []
     absorbable: list[int] = []
     occupied = r.members
-    coverage = [0] * n
-    blocked: set[int] = set()
+    # levels[k] holds the vertices that exactly k selected tuples absorb
+    levels = [h.full_mask]
+    blocked = 0
     max_rounds = 4 * n + 64
 
     for _ in range(max_rounds):
         if max_tuples is not None and len(selected) >= max_tuples:
             break
-        needy = [v for v in range(n) if coverage[v] < target and v not in blocked]
-        if needy:
-            pick = min(needy, key=lambda v: (coverage[v], v))
-        elif len(selected) < goal:
-            extra = [v for v in range(n) if v not in blocked]
-            if not extra:
-                break
-            pick = min(extra, key=lambda v: (coverage[v], v))
-        else:
+        # lowest coverage first, ties to the lowest id; a vertex at the
+        # target is picked only while the family is short of min_tuples
+        k = next((k for k, level in enumerate(levels) if level & ~blocked), None)
+        if k is None or (k >= target and len(selected) >= goal):
             break
+        low = levels[k] & ~blocked
+        pick = (low & -low).bit_length() - 1
         cand = enumerate_v_absorbers(
             h,
             pick,
@@ -194,15 +206,16 @@ def build_absorber_family(
             seed=derive_seed(cfg.seed, "absorber", len(selected), pick),
         )
         if not cand:
-            blocked.add(pick)
+            blocked |= 1 << pick
             continue
         t = cand[0]
         selected.append(t)
         absorbable.append(absorbable_mask(h, t))
         occupied |= mask_of(t)
-        blocked.clear()
-        for u in bits_of(absorbable[-1]):
-            coverage[u] += 1
+        blocked = 0
+        # each vertex the new tuple absorbs moves up one level
+        m = absorbable[-1]
+        levels = [lv & ~m | lo & m for lo, lv in zip([0, *levels], [*levels, 0])]
 
     return AbsorberFamily(selected, absorbable, target, n)
 
@@ -269,24 +282,26 @@ def absorb(h: Hypergraph3, pa: VertexSeq, fam: AbsorberFamily, x) -> VertexSeq:
             raise ValueError(f"tuple {t} is not a contiguous subpath of the host path")
         starts.append(s)
     absorbable = fam.absorbable
-    free = list(range(len(fam.tuples)))
+    # bit i of absorbers[u] is set iff tuple i absorbs u
+    absorbers = {
+        u: mask_of(i for i, m in enumerate(absorbable) if (m >> u) & 1) for u in xs
+    }
+    free = (1 << len(absorbable)) - 1
     remaining = mask_of(xs)
     after: dict[int, int] = {}
-
-    def free_options(u: int) -> list[int]:
-        return [i for i in free if (absorbable[i] >> u) & 1]
 
     def demand(i: int) -> int:
         return (absorbable[i] & remaining).bit_count()
 
+    # min keeps the first minimum, so ties go to the lowest vertex and tuple
     while remaining:
-        v = min(bits_of(remaining), key=lambda u: (len(free_options(u)), u))
-        options = free_options(v)
+        v = min(bits_of(remaining), key=lambda u: (absorbers[u] & free).bit_count())
+        options = absorbers[v] & free
         if not options:
             raise AbsorptionError(v)
         remaining &= ~(1 << v)
-        choice = min(options, key=lambda i: (demand(i), i))
-        free.remove(choice)
+        choice = min(bits_of(options), key=demand)
+        free &= ~(1 << choice)
         # v goes between the tuple's c and d
         after[starts[choice] + 2] = v
     seq = []

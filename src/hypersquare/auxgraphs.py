@@ -146,16 +146,6 @@ class ExpansionReport:
     best_crossing: int | None
 
 
-def _crossing(adjrows, xmask: int, ymask: int) -> int:
-    total = 0
-    m = xmask
-    while m:
-        low = m & -m
-        total += (adjrows[low.bit_length() - 1] & ymask).bit_count()
-        m ^= low
-    return total
-
-
 def expansion_report(
     g: AuxGraph, gamma: float, effort: int = 200, seed: int = 0
 ) -> ExpansionReport:
@@ -175,21 +165,28 @@ def expansion_report(
 
     if exhaustive:
         if nv >= 2 and side_min <= nv / 2:
+            # X is the anchor plus rest[i] for each bit i of sub.  Gray-code
+            # order moves one vertex per step, which changes the cut by a
+            # delta; keeping the least (cut, sub) breaks ties as counting did.
             anchor, rest = members[0], members[1:]
-            for sub in range(1 << len(rest)):
-                xmask = 1 << anchor
-                m = sub
-                while m:
-                    low = m & -m
-                    xmask |= 1 << rest[low.bit_length() - 1]
-                    m ^= low
+            moves = [(1 << v, adjrows[v], adjrows[v].bit_count()) for v in rest]
+            xmask = 1 << anchor
+            cut = adjrows[anchor].bit_count()
+            best_sub = best_mask = 0
+            for step in range(1 << len(rest)):
+                if step:
+                    bit, row, deg = moves[(step & -step).bit_length() - 1]
+                    # entering X, the vertex's edges into X stop crossing
+                    delta = deg - 2 * (row & xmask).bit_count()
+                    cut += -delta if xmask & bit else delta
+                    xmask ^= bit
                 xsize = xmask.bit_count()
                 if xsize < side_min or nv - xsize < side_min:
                     continue
-                cut = _crossing(adjrows, xmask, g.vmask & ~xmask)
-                if best_crossing is None or cut < best_crossing:
-                    best_crossing = cut
-                    best_side = tuple(bits_of(xmask))
+                sub = step ^ (step >> 1)
+                if best_crossing is None or (cut, sub) < (best_crossing, best_sub):
+                    best_crossing, best_sub, best_mask = cut, sub, xmask
+            best_side = tuple(bits_of(best_mask))
     else:
         rng = random.Random(derive_seed(seed, "expansion"))
         lo = math.ceil(side_min)
@@ -201,7 +198,7 @@ def expansion_report(
             xmask = 0
             for v in rng.sample(members, xsize):
                 xmask |= 1 << v
-            cut = _crossing(adjrows, xmask, g.vmask & ~xmask)
+            cut = sum((adjrows[v] & ~xmask).bit_count() for v in bits_of(xmask))
             improved = True
             while improved:
                 improved = False

@@ -1,3 +1,7 @@
+import itertools
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,14 +17,16 @@ from hypersquare import (
     build_absorber_family,
     build_absorbing_path,
     complete,
+    dense_random,
     enumerate_v_absorbers,
     is_squared_path,
     is_v_absorber,
     random_hypergraph,
     sample_reservoir,
 )
+from hypersquare.absorber import _shuffled_range
 from hypersquare.connector import Reservoir
-from hypersquare.core import mask_of
+from hypersquare.core import derive_seed, mask_of
 
 
 class TestEnumerate:
@@ -54,8 +60,125 @@ class TestEnumerate:
         assert a == b
         assert a != c
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(5, 10),
+        st.floats(0.3, 1.0),
+        st.integers(0, 10**6),
+        st.integers(0, 9),
+        st.integers(0, 2**10 - 1),
+        st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+        st.integers(1, 40),
+    )
+    def test_limit_is_prefix_of_full_enumeration(
+        self, n, p, graph_seed, v, exclude, seed, limit
+    ):
+        h = random_hypergraph(n, p, graph_seed)
+        v %= n
+        exclude &= h.full_mask & ~(1 << v)
+        full = enumerate_v_absorbers(h, v, exclude=exclude, seed=seed)
+        assert len(set(full)) == len(full)
+        for t in full:
+            assert not (mask_of(t) & exclude)
+            assert is_v_absorber(h, v, t)
+        limited = enumerate_v_absorbers(h, v, exclude=exclude, limit=limit, seed=seed)
+        assert limited == full[:limit]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(6, 8),
+        st.floats(0.5, 1.0),
+        st.integers(0, 10**6),
+        st.integers(0, 7),
+        st.integers(0, 2**63 - 1),
+    )
+    def test_full_enumeration_is_every_absorber(self, n, p, graph_seed, v, seed):
+        h = random_hypergraph(n, p, graph_seed)
+        v %= n
+        others = [u for u in range(n) if u != v]
+        expected = {
+            t for t in itertools.permutations(others, 6) if is_v_absorber(h, v, t)
+        }
+        full = enumerate_v_absorbers(h, v, seed=seed)
+        assert len(full) == len(expected) and set(full) == expected
+
+    def test_shuffled_range_matches_stdlib_shuffle(self):
+        rng = random.Random(2024)
+        seeds = [0, 1, 2**63 - 1] + [rng.getrandbits(63) for _ in range(20)]
+        for n in range(201):
+            for seed in seeds:
+                order = list(range(n))
+                random.Random(seed).shuffle(order)
+                assert _shuffled_range(n, seed) == order
+
+
+def reference_family(h, r, cfg, min_tuples=None, max_tuples=None):
+    """The greedy selection with explicit candidate lists, a
+    (coverage, vertex) pick key and coverage counted by is_v_absorber.
+    Returns the tuples and the set of rules the picks went through: "tie"
+    (equal nonzero coverage), "blocked" (a vertex without an absorber) and
+    "extra" (a pick past the coverage target)."""
+    n = h.n
+    target = max(1, math.ceil(2 * cfg.theta_star**2 * n))
+    goal = min_tuples if min_tuples is not None else 0
+    selected = []
+    occupied = r.members
+    coverage = [0] * n
+    blocked = set()
+    events = set()
+    for _ in range(4 * n + 64):
+        if max_tuples is not None and len(selected) >= max_tuples:
+            break
+        pool = [v for v in range(n) if coverage[v] < target and v not in blocked]
+        if not pool:
+            if len(selected) >= goal:
+                break
+            pool = [v for v in range(n) if v not in blocked]
+            if not pool:
+                break
+            events.add("extra")
+        pick = min(pool, key=lambda v: (coverage[v], v))
+        if coverage[pick] and [coverage[v] for v in pool].count(coverage[pick]) > 1:
+            events.add("tie")
+        cand = enumerate_v_absorbers(
+            h,
+            pick,
+            exclude=occupied,
+            limit=1,
+            seed=derive_seed(cfg.seed, "absorber", len(selected), pick),
+        )
+        if not cand:
+            blocked.add(pick)
+            events.add("blocked")
+            continue
+        selected.append(cand[0])
+        occupied |= mask_of(cand[0])
+        blocked.clear()
+        for u in range(n):
+            coverage[u] += is_v_absorber(h, u, cand[0])
+    return selected, events
+
 
 class TestFamily:
+    @pytest.mark.parametrize(
+        "n, delta, seed, theta_star, sized, events",
+        [
+            (40, 0.9, 1, 0.3, True, {"tie"}),
+            (48, 0.8, 3, 0.15, False, {"tie", "blocked"}),
+            (36, 0.75, 6, 0.15, True, {"blocked"}),
+            (30, 0.9, 9, 0.1, True, {"tie", "extra"}),
+        ],
+    )
+    def test_pick_matches_reference_key(self, n, delta, seed, theta_star, sized, events):
+        h = dense_random(n, delta, seed)
+        cfg = Config(theta_star=theta_star, seed=seed)
+        r = sample_reservoir(h, cfg)
+        size = max(1, (n - r.member_count) // 6) if sized else None
+        fam = build_absorber_family(h, r, cfg, min_tuples=size, max_tuples=size)
+        tuples, seen = reference_family(h, r, cfg, min_tuples=size, max_tuples=size)
+        assert fam.tuples == tuples
+        assert seen == events
+
     def test_complete40_coverage(self):
         h = complete(40)
         cfg = Config()
@@ -218,7 +341,65 @@ class TestAbsorbingPath:
         assert not (mask_of(pa.vertices) & r.members)
 
 
+def reference_absorb(h, pa, fam, xs):
+    """absorb's rule over explicit lists and is_v_absorber: the vertex with
+    the fewest free absorbers first, then its free tuple that absorbs the
+    fewest remaining vertices, ties to the lowest id.  Returns the host
+    sequence, or the first vertex left without a free absorber."""
+    vs = pa.vertices
+    free = list(range(len(fam.tuples)))
+    remaining = sorted(xs)
+    after = {}
+
+    def absorbs(i, u):
+        return is_v_absorber(h, u, fam.tuples[i])
+
+    while remaining:
+        options = {u: [i for i in free if absorbs(i, u)] for u in remaining}
+        v = min(remaining, key=lambda u: (len(options[u]), u))
+        if not options[v]:
+            return v
+        remaining.remove(v)
+        choice = min(
+            options[v], key=lambda i: (sum(absorbs(i, u) for u in remaining), i)
+        )
+        free.remove(choice)
+        after[vs.index(fam.tuples[choice][2])] = v
+    seq = []
+    for i, u in enumerate(vs):
+        seq.append(u)
+        if i in after:
+            seq.append(after[i])
+    return tuple(seq)
+
+
 class TestAbsorb:
+    def test_choices_match_reference(self):
+        rng = random.Random(5)
+        checked = errors = 0
+        for seed in range(12):
+            h = dense_random(30, 0.85, seed)
+            cfg = Config(seed=seed)
+            r = Reservoir(members=0)
+            fam = build_absorber_family(h, r, cfg, min_tuples=3, max_tuples=3)
+            try:
+                pa = build_absorbing_path(h, fam, r, cfg)
+            except PathConstructionError:
+                continue
+            outside = sorted(set(range(30)) - set(pa.vertices))
+            for _ in range(6):
+                xs = rng.sample(outside, rng.randint(1, min(len(outside), 4)))
+                expected = reference_absorb(h, pa, fam, xs)
+                if isinstance(expected, int):
+                    with pytest.raises(AbsorptionError) as err:
+                        absorb(h, pa, fam, xs)
+                    assert err.value.vertex == expected
+                    errors += 1
+                else:
+                    assert absorb(h, pa, fam, xs).vertices == expected
+                checked += 1
+        assert checked >= 30 and 0 < errors < checked
+
     def _setup(self, n=20, tuples=2, seed=10):
         h = complete(n)
         cfg = Config(seed=seed)

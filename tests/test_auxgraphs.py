@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypersquare import (
     AuxGraph,
@@ -194,7 +197,49 @@ class TestWalkCounts:
             assert count_walks(g, x, y, s) == brute_walk_count(adj, x, y, s)
 
 
+def reference_exhaustive_cut(g, gamma):
+    """The exhaustive branch in counting order: X is the lowest vertex plus
+    rest[i] for each bit i of sub, every side's cut is counted afresh, and
+    the first minimum wins.  Returns (best_side, best_crossing)."""
+    members = g.vertices()
+    nv = len(members)
+    side_min = math.sqrt(gamma) * nv
+    best_side, best_crossing = (), None
+    if nv < 2 or side_min > nv / 2:
+        return best_side, best_crossing
+    anchor, rest = members[0], members[1:]
+    for sub in range(1 << len(rest)):
+        xs = {anchor} | {rest[i] for i in range(len(rest)) if (sub >> i) & 1}
+        if len(xs) < side_min or nv - len(xs) < side_min:
+            continue
+        cut = sum(
+            1 for x in xs for y in members if y not in xs and g.has_edge(x, y)
+        )
+        if best_crossing is None or cut < best_crossing:
+            best_side, best_crossing = tuple(sorted(xs)), cut
+    return best_side, best_crossing
+
+
 class TestExpansionReport:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 14),
+        st.integers(0, 3),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.25]),
+        st.integers(0, 10**6),
+    )
+    @example(nv=14, extra=2, p=0.0, gamma=0.05, seed=0)
+    @example(nv=13, extra=0, p=1.0, gamma=0.1, seed=0)
+    def test_exhaustive_matches_counting_order(self, nv, extra, p, gamma, seed):
+        rng = random.Random(seed)
+        members = sorted(rng.sample(range(nv + extra), nv))
+        edges = [e for e in itertools.combinations(members, 2) if rng.random() < p]
+        g = AuxGraph.from_edges(nv + extra, members, edges)
+        rep = expansion_report(g, gamma)
+        assert rep.exhaustive
+        assert (rep.best_side, rep.best_crossing) == reference_exhaustive_cut(g, gamma)
+
     def test_complete10_no_violation(self):
         g = AuxGraph.from_edges(10, range(10), itertools.combinations(range(10), 2))
         rep = expansion_report(g, 0.1)

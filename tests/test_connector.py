@@ -26,7 +26,30 @@ def two_components() -> Hypergraph3:
     return Hypergraph3(10, list(left) + list(right))
 
 
+def incomplete_search_case():
+    """An instance on which connect(..., cap_m=7) misses a connection that
+    exists: count_connections finds exactly one with 5 interior vertices."""
+    h = random_hypergraph(12, 0.6489125117336406, 130)
+    return h, (6, 3, 11), (2, 7, 9)
+
+
 class TestConnect:
+    def test_incomplete_search_case_has_a_connection(self):
+        h, abc, xyz = incomplete_search_case()
+        assert count_connections(h, abc, xyz, 5) == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="connect deduplicates BFS states on the last three vertices "
+        "only, not on the interior vertices already used",
+    )
+    def test_finds_the_only_connection(self):
+        h, abc, xyz = incomplete_search_case()
+        seq = connect(h, abc, xyz, cap_m=7)
+        assert seq is not None
+        assert is_squared_path(h, seq)
+        assert seq.vertices[:3] == abc and seq.vertices[-3:] == xyz
+
     def test_complete_direct(self):
         seq = connect(complete(10), (0, 1, 2), (3, 4, 5))
         assert seq.vertices == (0, 1, 2, 3, 4, 5)
