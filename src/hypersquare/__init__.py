@@ -18,7 +18,6 @@ from .auxgraphs import (
     build_g3,
     build_gv,
     build_gvw,
-    count_walks,
     expansion_report,
     walk_count_table,
 )
@@ -57,7 +56,6 @@ from .core import (
     min_pair_degree,
     pair_degree,
     parse_hypergraph,
-    vertex_degree,
 )
 from .generators import (
     PikhurkoPartition,

@@ -117,15 +117,6 @@ def walk_count_table(g: AuxGraph, source: int, length: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def count_walks(g: AuxGraph, x: int, y: int, s: int) -> int:
-    """Exact number of x-y walks of length s, by dynamic programming."""
-    if not g.has_vertex(x) or not g.has_vertex(y):
-        raise ValueError("walk endpoints must be graph vertices")
-    if s < 0:
-        raise ValueError("walk length must be nonnegative")
-    return walk_count_table(g, x, s)[y]
-
-
 @dataclasses.dataclass(frozen=True)
 class ExpansionReport:
     """Outcome of an edge-expansion check over admissible bipartitions.

@@ -46,19 +46,73 @@ def mask_of(vertices) -> int:
     return m
 
 
+def _row_width(n: int) -> int:
+    """Bits per row when an n x n bit matrix is packed into one int: the
+    least power of two that is at least n and at least one byte."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+@functools.cache
+def _swap_steps(w: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each delta swap that transposes a packed w x w
+    matrix.  The step for block size s swaps bit (i, j) with (i ^ s, j ^ s)
+    wherever bit s is set in j and clear in i; the mask holds those (i, j)."""
+    wb = w // 8
+    steps = []
+    s = w >> 1
+    while s:
+        cols = sum(1 << j for j in range(w) if j & s).to_bytes(wb, "little")
+        blank = bytes(wb)
+        mask = b"".join([blank if i & s else cols for i in range(w)])
+        steps.append((s * (w - 1), int.from_bytes(mask, "little")))
+        s >>= 1
+    return tuple(steps)
+
+
+def _pack(rows, w: int) -> int:
+    """Rows below ``1 << w`` as one int, row i at bit i * w."""
+    wb = w // 8
+    return int.from_bytes(b"".join([r.to_bytes(wb, "little") for r in rows]), "little")
+
+
+def _transpose_packed(x: int, w: int) -> int:
+    """Transpose of a packed w x w bit matrix, by log2(w) delta swaps."""
+    for shift, mask in _swap_steps(w):
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    return x
+
+
 def transpose_bits(rows: list[int], n: int) -> list[int]:
     """Transpose an n x n bit matrix: bit i of the result's row j is bit j of
     ``rows[i]``.  Needs ``len(rows) == n`` and every row below ``1 << n``.
 
-    Each row is written as an n-digit binary string; row j of the transpose
-    is then every n-th digit of their concatenation, so the work per row is
-    one C-level slice and one parse.
+    The rows are packed into one int of w-bit rows, w a power of two; the
+    packed matrix is transposed by delta swaps and cut back into n rows.
     """
     if not n:
         return []
-    fmt = f"0{n}b"
-    digits = "".join([format(r, fmt) for r in reversed(rows)])
-    return [int(digits[j::n], 2) for j in range(n - 1, -1, -1)]
+    w = _row_width(n)
+    wb = w // 8
+    buf = _transpose_packed(_pack(rows, w), w).to_bytes(w * wb, "little")
+    return [int.from_bytes(buf[j * wb : (j + 1) * wb], "little") for j in range(n)]
+
+
+def pair_masks_from_upper(n: int, up: list[list[int]]) -> list[list[int]]:
+    """The full pair-mask matrix of the edge set given by its upper masks
+    ``up[a][b]`` = N(a, b) ∩ (b, n) for a < b (zero elsewhere).
+
+    For y > a, N(a, y) holds the c > y of ``up[a][y]`` and the c < y that
+    sit in y's bit of ``up[c][a]`` (c < a) or of ``up[a][c]`` (a < c < y):
+    one transpose of those n rows gives every y's share at once.
+    """
+    pn = [[0] * n for _ in range(n)]
+    for a in range(n):
+        up_a, row = up[a], pn[a]
+        below = transpose_bits([up[x][a] for x in range(a)] + up_a[a:], n)
+        for y in range(a + 1, n):
+            row[y] = pn[y][a] = below[y] | up_a[y]
+    return pn
 
 
 def derive_seed(master: int, *tags) -> int:
@@ -121,6 +175,7 @@ class Hypergraph3:
         rows = [list(row) for row in pn]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"pair masks must form a {n} x {n} matrix")
+        w = _row_width(n)
         for u, row in enumerate(rows):
             union = functools.reduce(operator.or_, row, 0)
             if union < 0 or union >> n:
@@ -130,11 +185,12 @@ class Hypergraph3:
             # with symmetry this also keeps v out of N(u, v) = N(v, u)
             if (union >> u) & 1:
                 raise ValueError(f"some N({u}, v) contains {u}")
-            if row != [rows[v][u] for v in range(n)]:
+            if row != list(map(operator.itemgetter(u), rows)):
                 raise ValueError(f"some N({u}, v) differs from N(v, {u})")
             # with symmetry, triple consistency says the link matrix of u,
             # rows[u], is a symmetric bit matrix
-            if row != transpose_bits(row, n):
+            packed = _pack(row, w)
+            if packed != _transpose_packed(packed, w):
                 raise ValueError(f"pair masks not triple-consistent at vertex {u}")
         self = object.__new__(cls)
         self.n = n
@@ -206,13 +262,6 @@ def min_pair_degree(h: Hypergraph3) -> int:
     return min(
         pn[u][v].bit_count() for u in range(h.n) for v in range(u + 1, h.n)
     )
-
-
-def vertex_degree(h: Hypergraph3, v: int) -> int:
-    """Number of edges containing v."""
-    h.check_vertex(v)
-    row = h._pn[v]
-    return sum(row[u].bit_count() for u in range(h.n)) // 2
 
 
 def link_graph(h: Hypergraph3, v: int) -> "AuxGraph":
@@ -379,7 +428,7 @@ class AuxGraph:
 
 def parse_hypergraph(text: str) -> Hypergraph3:
     n = None
-    pn = None
+    up = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -394,7 +443,7 @@ def parse_hypergraph(text: str) -> Hypergraph3:
                 raise ParseError(line_no, f"bad vertex count {parts[1]!r}") from None
             if n < 0:
                 raise ParseError(line_no, "vertex count must be nonnegative")
-            pn = [[0] * n for _ in range(n)]
+            up = [[0] * n for _ in range(n)]
             continue
         if len(parts) != 3:
             raise ParseError(line_no, f"expected 'i j k', got {line!r}")
@@ -404,21 +453,23 @@ def parse_hypergraph(text: str) -> Hypergraph3:
             raise ParseError(line_no, f"non-integer vertex in {line!r}") from None
         if not 0 <= i < j < k < n:
             raise ParseError(line_no, f"edge {i} {j} {k} violates 0 <= i < j < k < {n}")
-        row_i, row_j, row_k = pn[i], pn[j], pn[k]
-        if (row_i[j] >> k) & 1:
+        row, bit = up[i], 1 << k
+        if row[j] & bit:
             raise ParseError(line_no, f"duplicate edge {i} {j} {k}")
-        row_i[j] |= 1 << k
-        row_j[i] |= 1 << k
-        row_i[k] |= 1 << j
-        row_k[i] |= 1 << j
-        row_j[k] |= 1 << i
-        row_k[j] |= 1 << i
+        row[j] |= bit
     if n is None:
         raise ParseError(1, "missing header 'n <N>'")
-    return Hypergraph3.from_pair_masks(n, pn)
+    return Hypergraph3.from_pair_masks(n, pair_masks_from_upper(n, up))
 
 
 def format_hypergraph(h: Hypergraph3) -> str:
-    lines = [f"n {h.n}"]
-    lines.extend(f"{a} {b} {c}" for a, b, c in h.iter_edges())
+    n, pn = h.n, h._pn
+    names = [str(w) for w in range(n)]
+    lines = [f"n {n}"]
+    # the edges u < v < w in lexicographic order, as iter_edges yields them
+    for u in range(n):
+        row = pn[u]
+        for v in range(u + 1, n - 1):
+            prefix = f"{u} {v} "
+            lines.extend([prefix + names[w] for w in bits_of(row[v] >> (v + 1) << (v + 1))])
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ import dataclasses
 import math
 import random
 
-from .core import Hypergraph3, mask_of
+from .core import Hypergraph3, mask_of, pair_masks_from_upper
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,10 +81,15 @@ def pikhurko(n: int) -> tuple[Hypergraph3, PikhurkoPartition]:
     return Hypergraph3.from_pair_masks(n, pn), PikhurkoPartition(parts)
 
 
-def _random_pair_masks(n: int, p: float, rng) -> list[list[int]]:
-    """Pair masks of the random 3-graph keeping each triple a < b < c with
-    probability p, one ``rng.random()`` draw per triple in lexicographic
-    order."""
+# Below this many vertices the per-triple loop beats the block sampler,
+# whose n transposes then cost more than the mask ORs they replace
+# (measured sweep in CHANGES.md).
+BLOCK_SAMPLER_MIN_N = 40
+
+
+def _pair_masks_by_triple(n: int, p: float, rng) -> list[list[int]]:
+    """``_random_pair_masks`` one triple at a time, setting all three
+    orientations of each kept triple."""
     rand = rng.random
     pn = [[0] * n for _ in range(n)]
     # fill the upper triangle N(u, v), u < v, then mirror it
@@ -105,6 +110,55 @@ def _random_pair_masks(n: int, p: float, rng) -> list[list[int]]:
     return pn
 
 
+def _pair_masks_by_block(n: int, p: float, rng) -> list[list[int]]:
+    """``_random_pair_masks`` one vertex at a time: the draws of every
+    triple a < b < c with first vertex a become one digit string, whose
+    runs are the upper masks N(a, b) ∩ (b, n); ``pair_masks_from_upper``
+    then fills in the other orientations.
+
+    The k draws of a block are read as one ``rng.getrandbits(64 * k)``.
+    CPython's ``random()`` is x = (a * 2**26 + b) / 2**53, a and b the top
+    27 and 26 bits of two consecutive 32-bit generator words, and
+    ``getrandbits`` lays its words out from the least significant up, so
+    draw i is bytes 8i..8i+7 and leaves the generator where k ``random()``
+    calls would.  x < p exactly when a * 2**26 + b < ceil(p * 2**53); the
+    top byte of that numerator is byte 8i + 3, which settles the test
+    unless it equals the bound's own top byte (about one draw in 256).
+    """
+    bound = math.ceil(float(p) * 2.0**53)
+    top = bound >> 45
+    # b"1" keeps the triple, b"0" drops it, b"?" needs the whole numerator
+    settle = bytes(49 if v < top else 63 if v == top else 48 for v in range(256))
+    up = [[0] * n for _ in range(n)]
+    for a in range(n - 2):
+        k = (n - a - 1) * (n - a - 2) // 2
+        words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        digits = bytearray(words[3::8].translate(settle))
+        i = digits.find(63)
+        while i >= 0:
+            pair = int.from_bytes(words[8 * i : 8 * i + 8], "little")
+            numerator = ((pair & 0xFFFFFFFF) >> 5) << 26 | pair >> 38
+            digits[i] = 49 if numerator < bound else 48
+            i = digits.find(63, i + 1)
+        # reversed, so that each run reads from c = n - 1 down to c = b + 1
+        digits.reverse()
+        row, end = up[a], k
+        for b in range(a + 1, n - 1):
+            start = end - (n - b - 1)
+            row[b] = int(digits[start:end], 2) << (b + 1)
+            end = start
+    return pair_masks_from_upper(n, up)
+
+
+def _random_pair_masks(n: int, p: float, rng) -> list[list[int]]:
+    """Pair masks of the random 3-graph keeping each triple a < b < c with
+    probability p, one ``rng.random()`` draw per triple in lexicographic
+    order.  Both paths read the same stream and give the same masks."""
+    if n < BLOCK_SAMPLER_MIN_N:
+        return _pair_masks_by_triple(n, p, rng)
+    return _pair_masks_by_block(n, p, rng)
+
+
 def random_hypergraph(n: int, p: float, seed: int) -> Hypergraph3:
     """Each triple included independently with probability p; identical
     (n, p, seed) reproduce identical edge sets."""
@@ -121,20 +175,39 @@ def _repair_to_pair_degree(n: int, required: int, base_p: float, rng) -> Hypergr
     only increase degrees, so one lexicographic sweep suffices.  Everything
     lives in the pair masks: a pair's degree is its mask's popcount."""
     pn = _random_pair_masks(n, base_p, rng)
+    getrandbits = rng.getrandbits
     full = (1 << n) - 1
     for u in range(n):
-        row = pn[u]
+        row, bit_u = pn[u], 1 << u
         for v in range(u + 1, n):
-            while row[v].bit_count() < required:
-                missing = full & ~row[v] & ~(1 << u) & ~(1 << v)
-                # the k-th set bit of missing; randrange draws exactly as
-                # rng.choice over the listed bits would
-                for _ in range(rng.randrange(missing.bit_count())):
-                    missing &= missing - 1
-                w = (missing & -missing).bit_length() - 1
-                for x, y, z in ((u, v, w), (u, w, v), (v, w, u)):
-                    pn[x][y] |= 1 << z
-                    pn[y][x] |= 1 << z
+            short = required - row[v].bit_count()
+            if short <= 0:
+                continue
+            row_v, bit_v = pn[v], 1 << v
+            missing = start = full & ~row[v] & ~bit_u & ~bit_v
+            size = missing.bit_count()
+            # each pick takes one w out of missing and adds the triple uvw;
+            # N(u, v) itself is written once, after the last pick
+            for m in range(size, size - short, -1):
+                # rng.randrange(m), drawn as CPython's _randbelow draws it;
+                # m >= 1 because required <= n - 2
+                k = m.bit_length()
+                i = getrandbits(k)
+                while i >= m:
+                    i = getrandbits(k)
+                # the i-th set bit of missing
+                rest = missing
+                for _ in range(i):
+                    rest &= rest - 1
+                bit_w = rest & -rest
+                missing ^= bit_w
+                w = bit_w.bit_length() - 1
+                row_w = pn[w]
+                row[w] |= bit_v
+                row_w[u] = row[w]
+                row_v[w] |= bit_u
+                row_w[v] = row_v[w]
+            row[v] = row_v[u] = row[v] | (start ^ missing)
     return Hypergraph3.from_pair_masks(n, pn)
 
 

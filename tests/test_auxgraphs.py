@@ -13,7 +13,6 @@ from hypersquare import (
     build_gv,
     build_gvw,
     complete,
-    count_walks,
     expansion_report,
     is_k4,
     random_hypergraph,
@@ -155,25 +154,25 @@ class TestGvw:
 class TestWalkCounts:
     def test_path_graph(self):
         g = AuxGraph.from_edges(3, [0, 1, 2], [(0, 1), (1, 2)])
-        assert count_walks(g, 0, 2, 2) == 1
+        assert walk_count_table(g, 0, 2)[2] == 1
 
     def test_k4_two_steps(self):
         g = AuxGraph.from_edges(4, range(4), itertools.combinations(range(4), 2))
-        assert count_walks(g, 0, 1, 2) == 2
+        assert walk_count_table(g, 0, 2)[1] == 2
 
     def test_k4_three_steps(self):
         g = AuxGraph.from_edges(4, range(4), itertools.combinations(range(4), 2))
-        assert count_walks(g, 0, 1, 3) == 7
+        assert walk_count_table(g, 0, 3)[1] == 7
 
     def test_zero_length(self):
         g = AuxGraph.from_edges(3, [0, 1, 2], [(0, 1)])
-        assert count_walks(g, 0, 0, 0) == 1
-        assert count_walks(g, 0, 1, 0) == 0
+        assert walk_count_table(g, 0, 0)[0] == 1
+        assert walk_count_table(g, 0, 0)[1] == 0
 
     def test_outside_vertex_rejected(self):
         g = AuxGraph.from_edges(3, [0, 1], [(0, 1)])
         with pytest.raises(ValueError):
-            count_walks(g, 0, 2, 1)
+            walk_count_table(g, 2, 1)
 
     def test_table_row_one_is_adjacency(self):
         g = AuxGraph.from_edges(5, range(5), [(0, 1), (0, 2), (2, 3)])
@@ -194,7 +193,7 @@ class TestWalkCounts:
                 adj[v].add(u)
             x, y = rng.randrange(nv), rng.randrange(nv)
             s = rng.randint(1, 5)
-            assert count_walks(g, x, y, s) == brute_walk_count(adj, x, y, s)
+            assert walk_count_table(g, x, s)[y] == brute_walk_count(adj, x, y, s)
 
 
 def reference_exhaustive_cut(g, gamma):

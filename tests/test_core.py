@@ -1,5 +1,8 @@
+import functools
 import itertools
+import operator
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,6 @@ from hypersquare import (
     parse_hypergraph,
     pikhurko,
     random_hypergraph,
-    vertex_degree,
 )
 from hypersquare.core import bits_of, derive_seed, mask_of, transpose_bits
 
@@ -94,6 +96,43 @@ class TestHypergraph3:
             for v in range(u + 1, 10)
         )
         assert total == 3 * h.num_edges
+
+
+def reference_transpose_bits(rows, n):
+    """Transpose through n-digit binary strings, one slice per result row."""
+    if not n:
+        return []
+    digits = "".join([format(r, f"0{n}b") for r in reversed(rows)])
+    return [int(digits[j::n], 2) for j in range(n - 1, -1, -1)]
+
+
+def reference_from_pair_masks(n, pn):
+    """The pair-mask validation row by row, with a string transpose per row."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    rows = [list(row) for row in pn]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"pair masks must form a {n} x {n} matrix")
+    for u, row in enumerate(rows):
+        union = functools.reduce(operator.or_, row, 0)
+        if union < 0 or union >> n:
+            raise ValueError(f"some N({u}, v) has a bit outside [0, {n})")
+        if row[u]:
+            raise ValueError(f"N({u}, {u}) must be empty")
+        if (union >> u) & 1:
+            raise ValueError(f"some N({u}, v) contains {u}")
+        if row != [rows[v][u] for v in range(n)]:
+            raise ValueError(f"some N({u}, v) differs from N(v, {u})")
+        if row != reference_transpose_bits(row, n):
+            raise ValueError(f"pair masks not triple-consistent at vertex {u}")
+
+
+def validation_error(validate, n, pn):
+    try:
+        validate(n, pn)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestFromPairMasks:
@@ -173,6 +212,38 @@ class TestFromPairMasks:
         with pytest.raises(ValueError):
             Hypergraph3.from_pair_masks(-1, [])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rejects_one_flipped_bit_as_before(self, seed):
+        rng = random.Random(seed)
+        cases = [random_hypergraph(n, rng.random(), rng.randrange(10**6)) for n in range(1, 13)]
+        cases += [complete(9), pikhurko(12)[0], random_hypergraph(45, 0.6, seed)]
+        for h in cases:
+            n = h.n
+            for _ in range(60):
+                pn = [row[:] for row in h._pn]
+                u, v, w = rng.randrange(n), rng.randrange(n), rng.randrange(n + 1)
+                if rng.random() < 0.5:
+                    pn[u][v] ^= 1 << w
+                else:
+                    # both orientations, so the later checks are reached
+                    pn[u][v] ^= 1 << w
+                    if u != v:
+                        pn[v][u] ^= 1 << w
+                assert validation_error(Hypergraph3.from_pair_masks, n, pn) == (
+                    validation_error(reference_from_pair_masks, n, pn)
+                )
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 31, 32, 33, 64, 65, 150, 257])
+    def test_transpose_bits_matches_reference(self, n):
+        rng = random.Random(n)
+        for density in (0.0, 0.5, 1.0):
+            rows = [
+                sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)
+            ]
+            flipped = transpose_bits(rows, n)
+            assert flipped == reference_transpose_bits(rows, n)
+            assert transpose_bits(flipped, n) == rows
+
     @settings(max_examples=40)
     @given(st.integers(0, 20), st.data())
     def test_transpose_bits(self, n, data):
@@ -228,21 +299,12 @@ class TestDegrees:
         assert brute == expected == 3 * n // 4 - 2
         assert min_pair_degree(h) == expected
 
-    def test_vertex_degree_complete(self):
-        assert vertex_degree(complete(5), 0) == 6
-
-    def test_vertex_degree_empty(self):
-        assert vertex_degree(Hypergraph3(5), 2) == 0
-
-    def test_vertex_degree_full_random(self):
-        h = random_hypergraph(8, 1.0, seed=1)
-        assert vertex_degree(h, 3) == 21
-
     def test_degree_identities(self):
         h = random_instance(9, 0.6, seed=5)
-        assert sum(vertex_degree(h, v) for v in range(9)) == 3 * h.num_edges
+        degree = Counter(v for e in h.iter_edges() for v in e)
+        assert sum(degree.values()) == 3 * h.num_edges
         for v in range(9):
-            assert 2 * vertex_degree(h, v) == sum(
+            assert 2 * degree[v] == sum(
                 pair_degree(h, u, v) for u in range(9) if u != v
             )
 
@@ -263,7 +325,9 @@ class TestNeighborhoods:
     def test_link_graph_size_matches_degree(self):
         h = random_instance(8, 0.5, seed=2)
         for v in range(8):
-            assert link_graph(h, v).num_edges == vertex_degree(h, v)
+            assert 2 * link_graph(h, v).num_edges == sum(
+                pair_degree(h, u, v) for u in range(8) if u != v
+            )
 
     def test_joint_neighborhood_complete(self):
         assert joint_neighborhood3(complete(6), 0, 1, 2) == mask_of([3, 4, 5])
@@ -396,7 +460,7 @@ class TestTinyInstances:
         assert parse_hypergraph(format_hypergraph(h)) == h
         if n >= 3:
             assert link_graph(h, 0).num_edges == 1
-            assert vertex_degree(h, 0) == 1
+            assert pair_degree(h, 0, 1) == 1
 
 
 class TestBitHelpers:

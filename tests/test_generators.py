@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,12 @@ from hypersquare import (
     min_pair_degree,
     pikhurko,
     random_hypergraph,
+)
+from hypersquare.generators import (
+    BLOCK_SAMPLER_MIN_N,
+    _pair_masks_by_block,
+    _pair_masks_by_triple,
+    _repair_to_pair_degree,
 )
 
 
@@ -111,6 +118,73 @@ class TestRandomHypergraph:
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             random_hypergraph(8, 1.5, seed=0)
+
+    def test_int_p_one_is_complete(self):
+        assert 64 >= BLOCK_SAMPLER_MIN_N
+        assert random_hypergraph(64, 1, 0) == complete(64)
+
+    def test_int_p_zero_is_empty(self):
+        assert random_hypergraph(64, 0, 0).num_edges == 0
+
+
+def reference_pair_masks(n, p, rng):
+    """The sampler as one loop over the triples, each kept triple ORed into
+    all six of its pair masks."""
+    pn = [[0] * n for _ in range(n)]
+    for a, b, c in itertools.combinations(range(n), 3):
+        if rng.random() < p:
+            for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+                pn[x][y] |= 1 << z
+                pn[y][x] |= 1 << z
+    return pn
+
+
+def reference_repair(n, required, base_p, rng, drawn):
+    """The degree repair drawing each missing vertex by ``rng.randrange``
+    over the listed bits; every range size goes into ``drawn``."""
+    pn = reference_pair_masks(n, base_p, rng)
+    for u in range(n):
+        for v in range(u + 1, n):
+            while pn[u][v].bit_count() < required:
+                missing = [
+                    w for w in range(n) if w not in (u, v) and not (pn[u][v] >> w) & 1
+                ]
+                drawn.add(len(missing))
+                w = missing[rng.randrange(len(missing))]
+                for x, y, z in ((u, v, w), (u, w, v), (v, w, u)):
+                    pn[x][y] |= 1 << z
+                    pn[y][x] |= 1 << z
+    return pn
+
+
+class TestSamplerAgainstReference:
+    def test_both_paths_give_the_same_masks_and_stream(self):
+        pick = random.Random(2024)
+        for n in range(71):
+            seed = pick.randrange(10**9)
+            # the last p is the first draw itself: x < p must be False there
+            for p in (0, 1, pick.random(), random.Random(seed).random()):
+                ref = random.Random(seed)
+                want = reference_pair_masks(n, p, ref)
+                after = ref.random()
+                for sampler in (_pair_masks_by_triple, _pair_masks_by_block):
+                    ours = random.Random(seed)
+                    assert sampler(n, p, ours) == want, (sampler.__name__, n, p)
+                    assert ours.random() == after
+
+    def test_repair_draws_as_randrange(self):
+        drawn = set()
+        for n in (0, 1, 3, 5, 8, 13, 21, 34, 39, 40, 41, 55):
+            for fraction in (0.0, 0.5, 0.8, 1.0):
+                for seed in range(3):
+                    required = min(math.ceil(fraction * n), max(n - 2, 0))
+                    ours, ref = random.Random(seed), random.Random(seed)
+                    h = _repair_to_pair_degree(n, required, fraction, ours)
+                    assert h._pn == reference_repair(n, required, fraction, ref, drawn)
+                    assert ours.random() == ref.random()
+        # every range size up to 38, so the inlined draw's rejection loop
+        # runs for every bit length up to 6
+        assert drawn >= set(range(1, 39))
 
 
 class TestDenseRandom:
