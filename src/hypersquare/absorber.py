@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 
 from .certify import VertexSeq, is_squared_path
 from .connector import Reservoir, connect
-from .core import Config, Hypergraph3, bits_of, derive_seed, mask_of
+from .core import Config, Hypergraph3, bits_of, derive_seed, mask_of, shuffled_range
 
 
 class PathConstructionError(RuntimeError):
@@ -58,7 +57,7 @@ def enumerate_v_absorbers(
     excl = exclude if isinstance(exclude, int) else mask_of(exclude)
     base = h.full_mask & ~excl & ~(1 << v)
     pn = h._pn
-    order = list(range(h.n)) if seed is None else _shuffled_range(h.n, seed)
+    order = list(range(h.n)) if seed is None else shuffled_range(h.n, seed)
 
     def picks(mask: int):
         # lazy, so a limited search stops scanning at its last tuple, and
@@ -95,20 +94,6 @@ def enumerate_v_absorbers(
                             if limit is not None and len(out) >= limit:
                                 return out
     return out
-
-
-def _shuffled_range(n: int, seed: int) -> list[int]:
-    """list(range(n)) after random.Random(seed).shuffle: the same
-    Fisher-Yates steps and rejection draws, without the per-step calls."""
-    order = list(range(n))
-    getrandbits = random.Random(seed).getrandbits
-    for i in range(n - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        order[i], order[j] = order[j], order[i]
-    return order
 
 
 def absorbable_mask(h: Hypergraph3, t) -> int:

@@ -16,7 +16,29 @@ import dataclasses
 import math
 import random
 
-from .core import AuxGraph, Hypergraph3, bits_of, derive_seed
+from .core import AuxGraph, Hypergraph3, bits_of, columns_of_rows, derive_seed
+
+
+def _tetrahedron_incidence(h: Hypergraph3, anchors: list[tuple[int, int]]) -> list[int]:
+    """incidence[x] holds one bit per edge abc with (a, b) an anchor and
+    c > b for which abcx is a tetrahedron, at the same position for every x.
+
+    One row per such edge abc holds the x that complete it,
+    N(a, b) & N(a, c) & N(b, c); the rows are written as 64-bit words into
+    one buffer, and incidence[x] is column x of it."""
+    n = h.n
+    pn = h._pn
+    groups = max(1, (n + 63) // 64)
+    width = 8 * groups
+    rows = bytearray()
+    for a, b in anchors:
+        pa, pb = pn[a], pn[b]
+        ab = pa[b]
+        # a bit test per c beats walking the set bits of a dense N(a, b)
+        for c in range(b + 1, n):
+            if (ab >> c) & 1:
+                rows += (ab & pa[c] & pb[c]).to_bytes(width, "little")
+    return columns_of_rows(rows, groups)[:n]
 
 
 def _shared_tetrahedra_graph(
@@ -30,26 +52,7 @@ def _shared_tetrahedra_graph(
     edges abc with (a, b) an anchor, c > b, and both abcx and abcy
     tetrahedra is at least ``threshold``."""
     n = h.n
-    pn = h._pn
-    # incidence[x] holds one bit per such edge abc with abcx a tetrahedron,
-    # so the pair count is a popcount of an AND.  Anchor ab owns one chunk
-    # of ``width`` bytes in every incidence[x]; bit c - b - 1 of it stands
-    # for the edge abc.  For x in N(a, b), the c it holds are
-    # N(a, b) & N(a, x) & N(b, x) above b.  Chunks are joined as bytes, as
-    # ORing bits into a growing int would be quadratic.
-    width = (n + 7) // 8
-    empty = bytes(width)
-    incidence = []
-    for x in range(n):
-        chunks = []
-        for a, b in anchors:
-            ab = pn[a][b]
-            if (ab >> x) & 1:
-                chunk = (ab & pn[a][x] & pn[b][x]) >> (b + 1)
-                chunks.append(chunk.to_bytes(width, "little"))
-            else:
-                chunks.append(empty)
-        incidence.append(int.from_bytes(b"".join(chunks), "little"))
+    incidence = _tetrahedron_incidence(h, anchors)
     adj = [0] * n
     members = list(bits_of(vmask))
     for xi, x in enumerate(members):

@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import hashlib
 import operator
+import random
 
 
 class ParseError(ValueError):
@@ -98,6 +99,52 @@ def transpose_bits(rows: list[int], n: int) -> list[int]:
     return [int.from_bytes(buf[j * wb : (j + 1) * wb], "little") for j in range(n)]
 
 
+# 64 x 64 blocks per int in columns_of_rows: enough that the per-int
+# overhead is paid rarely, few enough that the six repeated masks and each
+# step's temporaries stay at 8 KB whatever the number of rows
+_BLOCKS_PER_INT = 16
+
+
+def columns_of_rows(buf, groups: int) -> list[int]:
+    """Transpose a bit matrix given as rows of ``groups`` little-endian
+    64-bit words in ``buf``: bit i of the result's int j is bit j of row i,
+    for j < 64 * groups.
+
+    Word g of every row forms the g-th group of columns.  Each group is cut
+    into runs of whole 64 x 64 blocks, a short last run padded with zero
+    rows.  A run is read as one int, and the delta swaps of
+    ``_swap_steps(64)``, each mask repeated across the run's blocks,
+    transpose all its blocks at once.  Word j of a transposed block holds
+    column j of the block's 64 rows, so a column is every 64th word of its
+    group's output.  The casts only select raw 8-byte items, so the byte
+    order of the machine does not matter.
+    """
+    words = memoryview(buf).cast("Q")
+    rows = len(words) // groups
+    # words per run
+    run = 64 * max(1, min((rows + 63) // 64, _BLOCKS_PER_INT))
+    masks = [
+        (shift, int.from_bytes(mask.to_bytes(512, "little") * (run // 64), "little"))
+        for shift, mask in _swap_steps(64)
+    ]
+    out = bytearray()
+    for g in range(groups):
+        group = words[g::groups]
+        for start in range(0, rows, run):
+            x = int.from_bytes(group[start : start + run], "little")
+            for shift, mask in masks:
+                t = (x ^ (x >> shift)) & mask
+                x ^= t ^ (t << shift)
+            out += x.to_bytes(8 * run, "little")
+    cols = memoryview(out).cast("Q")
+    span = len(cols) // groups
+    return [
+        int.from_bytes(cols[g * span + j : (g + 1) * span : 64], "little")
+        for g in range(groups)
+        for j in range(64)
+    ]
+
+
 def pair_masks_from_upper(n: int, up: list[list[int]]) -> list[list[int]]:
     """The full pair-mask matrix of the edge set given by its upper masks
     ``up[a][b]`` = N(a, b) ∩ (b, n) for a < b (zero elsewhere).
@@ -123,6 +170,22 @@ def derive_seed(master: int, *tags) -> int:
     """
     text = repr((master,) + tags).encode()
     return int.from_bytes(hashlib.sha256(text).digest()[:8], "big") >> 1
+
+
+def shuffled_range(n: int, seed: int) -> list[int]:
+    """list(range(n)) after random.Random(seed).shuffle: the same
+    Fisher-Yates steps and rejection draws, without the per-step calls.
+    ``[items[i] for i in shuffled_range(len(items), seed)]`` is the shuffle
+    of a list of items."""
+    order = list(range(n))
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 class Hypergraph3:

@@ -20,10 +20,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import random
 
 from .certify import VertexSeq, is_squared_path
-from .core import Config, Hypergraph3, bits_of, derive_seed, mask_of
+from .core import Config, Hypergraph3, bits_of, derive_seed, mask_of, shuffled_range
 
 WEIGHTS = {2: 2, 3: 6, 4: 11}
 # marginal weight gains for growing a tile by one vertex
@@ -254,16 +253,17 @@ def weighted_tiling(
     instances, where a single trajectory can strand weight.  Deterministic
     for fixed inputs and seed.
     """
-    domain = sorted(domain)
+    domain = sorted(set(domain))
     for v in domain:
         h.check_vertex(v)
     restarts = 48 if len(domain) <= 12 else 4
     base = seed if seed is not None else 0
     best: Tiling | None = None
     for k in range(restarts):
-        order = list(domain)
+        order = domain
         if k > 0 or seed is not None:
-            random.Random(derive_seed(base, "tiling-restart", k)).shuffle(order)
+            perm = shuffled_range(len(domain), derive_seed(base, "tiling-restart", k))
+            order = [domain[i] for i in perm]
         til = _local_search(h, domain, oracle, order)
         if best is None or til.weight > best.weight:
             best = til
@@ -325,21 +325,28 @@ class CoverResult:
         return len(self.uncovered) <= self.mu_bound
 
 
-def _first_k4(h: Hypergraph3, avail: int, order: list[int]) -> tuple[int, ...] | None:
-    pn = h._pn
-    for a in order:
-        if not (avail >> a) & 1:
+def _first_start(pn, avail: int, live: list[int], pos: int):
+    """The first index i >= pos with live[i] the lowest vertex of a
+    tetrahedron inside ``avail``, and the first such tetrahedron abcd with
+    b, c and d taken in ``live``'s order; None when there is none.
+
+    ``live`` lists exactly the vertices of ``avail``."""
+    for i in range(pos, len(live)):
+        a = live[i]
+        hi = avail >> (a + 1) << (a + 1)
+        if hi.bit_count() < 3:
             continue
-        for b in order:
-            if b <= a or not (pn_ab := pn[a][b] & avail) or not (avail >> b) & 1:
+        pa = pn[a]
+        for b in live:
+            if not (hi >> b) & 1:
                 continue
-            for c in order:
-                if c <= b or not (pn_ab >> c) & 1:
-                    continue
-                dmask = pn[a][b] & pn[a][c] & pn[b][c] & avail
-                for d in order:
-                    if d > c and (dmask >> d) & 1:
-                        return (a, b, c, d)
+            hb = pa[b] & hi >> (b + 1) << (b + 1)
+            if hb.bit_count() < 2:
+                continue
+            pb = pn[b]
+            for c in live:
+                if (hb >> c) & 1 and (dmask := hb & pa[c] & pb[c] >> (c + 1) << (c + 1)):
+                    return i, (a, b, c, next(d for d in live if (dmask >> d) & 1))
     return None
 
 
@@ -363,6 +370,8 @@ def cover_with_squared_paths(
         raise ValueError("q must be a positive multiple of 4")
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
+    if isinstance(domain, bool):
+        raise ValueError("domain must be a vertex mask or an iterable of vertices")
     if domain is None:
         dom_mask = h.full_mask
     elif isinstance(domain, int):
@@ -371,17 +380,19 @@ def cover_with_squared_paths(
         dom_mask = domain
     else:
         dom_mask = mask_of(h.check_vertex(v, "domain vertex") for v in domain)
-    order = list(range(h.n))
-    if seed is not None:
-        random.Random(seed).shuffle(order)
+    order = list(range(h.n)) if seed is None else shuffled_range(h.n, seed)
     pn = h._pn
     avail = dom_mask
     paths: list[VertexSeq] = []
+    # live is the seeded order cut to avail, rebuilt after each path.  As
+    # avail only shrinks, a vertex that is not the lowest vertex of a
+    # tetrahedron inside avail never becomes one, so live[:pos] never start
+    # a path and each search resumes at live[pos].
+    live = [v for v in order if (avail >> v) & 1]
+    pos = 0
 
-    while True:
-        start = _first_k4(h, avail, order)
-        if start is None:
-            break
+    while found := _first_start(pn, avail, live, pos):
+        i, start = found
         path = list(start)
         avail &= ~mask_of(path)
         flipped = False
@@ -389,7 +400,9 @@ def cover_with_squared_paths(
             p, r, s = path[-3], path[-2], path[-1]
             cands = pn[p][r] & pn[p][s] & pn[r][s] & avail
             if cands:
-                u = next(v for v in order if (cands >> v) & 1)
+                for u in live:
+                    if (cands >> u) & 1:
+                        break
                 path.append(u)
                 avail &= ~(1 << u)
                 continue
@@ -404,7 +417,10 @@ def cover_with_squared_paths(
             paths.append(seq)
         # vertices of a failed partial path stay uncovered but are not
         # offered to later paths, which guarantees termination
+        dead = [v for v in live[:i] if (avail >> v) & 1]
+        live = dead + [v for v in live[i:] if (avail >> v) & 1]
+        pos = len(dead)
 
-    covered = {v for s in paths for v in s.vertices}
-    uncovered = frozenset(v for v in bits_of(dom_mask) if v not in covered)
+    covered = mask_of(v for s in paths for v in s.vertices)
+    uncovered = frozenset(bits_of(dom_mask & ~covered))
     return CoverResult(paths, uncovered, mu * h.n)

@@ -24,7 +24,6 @@ from hypersquare import (
     random_hypergraph,
     sample_reservoir,
 )
-from hypersquare.absorber import _shuffled_range
 from hypersquare.connector import Reservoir
 from hypersquare.core import derive_seed, mask_of
 
@@ -101,15 +100,6 @@ class TestEnumerate:
         }
         full = enumerate_v_absorbers(h, v, seed=seed)
         assert len(full) == len(expected) and set(full) == expected
-
-    def test_shuffled_range_matches_stdlib_shuffle(self):
-        rng = random.Random(2024)
-        seeds = [0, 1, 2**63 - 1] + [rng.getrandbits(63) for _ in range(20)]
-        for n in range(201):
-            for seed in seeds:
-                order = list(range(n))
-                random.Random(seed).shuffle(order)
-                assert _shuffled_range(n, seed) == order
 
 
 def reference_family(h, r, cfg, min_tuples=None, max_tuples=None):

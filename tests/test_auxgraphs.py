@@ -18,6 +18,7 @@ from hypersquare import (
     random_hypergraph,
     walk_count_table,
 )
+from hypersquare.auxgraphs import _tetrahedron_incidence
 from conftest import brute_walk_count
 
 
@@ -36,6 +37,55 @@ def ordered_pairs_gv(h, v, x, y):
         for a, b in itertools.permutations(range(h.n), 2)
         if is_k4(h, x, a, b, v) and is_k4(h, y, a, b, v)
     )
+
+
+def reference_incidence(h, anchors, xs):
+    """incidence[x] for each x of ``xs`` as chunks: anchor ab owns one
+    chunk of ceil(n / 8) bytes, and for x in N(a, b) bit c - b - 1 of it is
+    set for each c > b in N(a, b) & N(a, x) & N(b, x)."""
+    pn = h._pn
+    width = (h.n + 7) // 8
+    incidence = {}
+    for x in xs:
+        chunks = []
+        for a, b in anchors:
+            ab = pn[a][b]
+            chunk = (ab & pn[a][x] & pn[b][x]) >> (b + 1) if (ab >> x) & 1 else 0
+            chunks.append(chunk.to_bytes(width, "little"))
+        incidence[x] = int.from_bytes(b"".join(chunks), "little")
+    return incidence
+
+
+def shared_counts(incidence, xs):
+    """The popcount of incidence[x] & incidence[y] for x <= y in ``xs``."""
+    return [
+        (incidence[x] & incidence[y]).bit_count()
+        for x, y in itertools.combinations_with_replacement(xs, 2)
+    ]
+
+
+def reference_edges(incidence, members, scale, threshold):
+    """The pairs of ``members`` whose scaled shared count meets the
+    threshold, as the graph builder's pair loop decides them."""
+    return [
+        (x, y)
+        for x, y in itertools.combinations(members, 2)
+        if incidence[x] and scale * (incidence[x] & incidence[y]).bit_count() >= threshold
+    ]
+
+
+def g3_anchors(n):
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def gv_anchors(n, v):
+    return [(v, a) for a in range(n) if a != v]
+
+
+def full_or_empty(n, kind):
+    """complete(n), or the edgeless Hypergraph3(n); below 3 vertices both
+    are edgeless."""
+    return complete(n) if kind == "complete" and n >= 3 else Hypergraph3(n)
 
 
 class TestG3:
@@ -115,6 +165,74 @@ class TestGv:
         hi = build_gv(h, 0, 0.2)
         for x in range(8):
             assert hi.neighbors_mask(x) & ~lo.neighbors_mask(x) == 0
+
+
+class TestIncidence:
+    """The row-transpose incidence against the chunk reference: the same
+    pair counts, and the same G3 and Gv edges on both sides of a threshold.
+    Vertices 0-63 and 64-127 sit in different 64-bit word groups, so the
+    compared pairs cross groups from n = 65 on."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 63, 64, 65, 70, 130])
+    @pytest.mark.parametrize("kind", ["empty", "complete"])
+    def test_g3_matches_reference(self, n, kind):
+        h = full_or_empty(n, kind)
+        anchors = g3_anchors(n)
+        got = _tetrahedron_incidence(h, anchors)
+        assert len(got) == n
+        # at n = 130 the chunk reference is slow, so it checks a sample
+        xs = range(n) if n <= 70 else [0, 1, 62, 63, 64, 65, 100, 127, 128, 129]
+        want = reference_incidence(h, anchors, xs)
+        assert shared_counts(got, xs) == shared_counts(want, xs)
+        if n < 5 or n > 70:
+            return
+        # on complete(n) every pair shares 6 C(n - 2, 3) ordered triples,
+        # so the first beta puts every pair in G3 and the second none
+        shared = 6 * math.comb(n - 2, 3) if kind == "complete" else 0
+        for beta in (max(shared, 1) / n**3, (shared + 1) / n**3):
+            g = build_g3(h, beta)
+            assert list(g.edges()) == reference_edges(want, range(n), 6, beta * n**3)
+
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 70, 130])
+    @pytest.mark.parametrize("kind", ["empty", "complete"])
+    def test_gv_matches_reference(self, n, kind):
+        h = full_or_empty(n, kind)
+        for v in sorted({0, n // 2, n - 1}):
+            anchors = gv_anchors(n, v)
+            members = [x for x in range(n) if x != v]
+            got = _tetrahedron_incidence(h, anchors)
+            want = reference_incidence(h, anchors, members)
+            assert shared_counts(got, members) == shared_counts(want, members)
+            # on complete(n) every pair shares 2 C(n - 3, 2) ordered pairs
+            shared = 2 * math.comb(n - 3, 2) if kind == "complete" and n >= 5 else 0
+            for beta in (max(shared, 1) / n**2, (shared + 1) / n**2):
+                if beta < 1:
+                    g = build_gv(h, v, beta)
+                    assert list(g.edges()) == reference_edges(want, members, 2, beta * n**2)
+
+    @pytest.mark.parametrize(
+        "n, p, seed", [(5, 0.9, 1), (20, 0.7, 5), (63, 0.8, 2), (65, 0.8, 3), (70, 0.7, 4)]
+    )
+    def test_random_matches_reference(self, n, p, seed):
+        h = random_hypergraph(n, p, seed)
+        v = seed % n
+        for anchors, members, scale, power in (
+            (g3_anchors(n), list(range(n)), 6, 3),
+            (gv_anchors(n, v), [x for x in range(n) if x != v], 2, 2),
+        ):
+            got = _tetrahedron_incidence(h, anchors)
+            want = reference_incidence(h, anchors, members)
+            assert shared_counts(got, members) == shared_counts(want, members)
+            # betas at the quartile counts of the pairs split them unevenly
+            counts = sorted(
+                (want[x] & want[y]).bit_count() for x, y in itertools.combinations(members, 2)
+            )
+            for count in {counts[len(counts) // 4], counts[len(counts) // 2], counts[-1]}:
+                beta = scale * count / n**power
+                if not 0 < beta < 1:
+                    continue
+                g = build_g3(h, beta) if power == 3 else build_gv(h, v, beta)
+                assert list(g.edges()) == reference_edges(want, members, scale, beta * n**power)
 
 
 class TestGvw:

@@ -24,7 +24,14 @@ from hypersquare import (
     pikhurko,
     random_hypergraph,
 )
-from hypersquare.core import bits_of, derive_seed, mask_of, transpose_bits
+from hypersquare.core import (
+    bits_of,
+    columns_of_rows,
+    derive_seed,
+    mask_of,
+    shuffled_range,
+    transpose_bits,
+)
 
 
 def random_instance(n: int, p: float, seed: int) -> Hypergraph3:
@@ -255,6 +262,41 @@ class TestFromPairMasks:
         assert transpose_bits(flipped, n) == rows
 
 
+def reference_columns(rows, groups):
+    """Column j of the rows, one bit test per entry."""
+    return [
+        sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(64 * groups)
+    ]
+
+
+class TestColumnsOfRows:
+    # 1024 rows fill one int of the transpose; 2113 need three, the last
+    # one short
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 200, 1024, 1025, 2113])
+    def test_matches_reference(self, count, groups):
+        rng = random.Random(count * 10 + groups)
+        for density in (0.0, 0.5, 1.0):
+            rows = [
+                sum(1 << j for j in range(64 * groups) if rng.random() < density)
+                for _ in range(count)
+            ]
+            buf = b"".join([r.to_bytes(8 * groups, "little") for r in rows])
+            assert columns_of_rows(buf, groups) == reference_columns(rows, groups)
+            assert columns_of_rows(bytearray(buf), groups) == reference_columns(rows, groups)
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 3), st.data())
+    def test_columns_of_rows(self, groups, data):
+        rows = data.draw(st.lists(st.integers(0, (1 << (64 * groups)) - 1), max_size=140))
+        buf = b"".join([r.to_bytes(8 * groups, "little") for r in rows])
+        cols = columns_of_rows(buf, groups)
+        assert len(cols) == 64 * groups
+        for i, r in enumerate(rows):
+            assert sum(((c >> i) & 1) << j for j, c in enumerate(cols)) == r
+        assert all(c >> len(rows) == 0 for c in cols)
+
+
 class TestDegrees:
     def test_pair_degree_complete(self):
         assert pair_degree(complete(5), 0, 1) == 3
@@ -464,6 +506,24 @@ class TestTinyInstances:
 
 
 class TestBitHelpers:
+    def test_shuffled_range_matches_stdlib_shuffle(self):
+        rng = random.Random(2024)
+        seeds = [0, 1, 2**63 - 1] + [rng.getrandbits(63) for _ in range(20)]
+        for n in range(201):
+            for seed in seeds:
+                order = list(range(n))
+                random.Random(seed).shuffle(order)
+                assert shuffled_range(n, seed) == order
+
+    def test_shuffled_range_shuffles_a_list_of_items(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            items = rng.sample(range(-50, 500), rng.randint(0, 60))
+            seed = rng.getrandbits(63)
+            want = list(items)
+            random.Random(seed).shuffle(want)
+            assert [items[i] for i in shuffled_range(len(items), seed)] == want
+
     @given(st.sets(st.integers(min_value=0, max_value=200)))
     def test_bits_roundtrip(self, values):
         assert list(bits_of(mask_of(values))) == sorted(values)

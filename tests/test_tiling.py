@@ -12,6 +12,7 @@ from hypersquare import (
     almost_k4_factor,
     complete,
     cover_with_squared_paths,
+    dense_random,
     is_k4,
     is_squared_path,
     pair_degree,
@@ -31,6 +32,71 @@ from hypersquare.tiling import (
     _tile_ok,
 )
 from conftest import exhaustive_tiling_weight
+
+
+def reference_cover(h, q, mu, seed=None, domain=None):
+    """The greedy cover with full rescans: each path starts at the first
+    tetrahedron abcd (a < b < c < d) found by scanning the whole seeded
+    order for a, b, c and d in turn, and each extension scans the whole
+    order for its first candidate.  Returns the path tuples, the uncovered
+    set and the bound."""
+    if domain is None:
+        dom_mask = h.full_mask
+    elif isinstance(domain, int):
+        dom_mask = domain
+    else:
+        dom_mask = mask_of(domain)
+    order = list(range(h.n))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    pn = h._pn
+
+    def first_k4(avail):
+        for a in order:
+            if not (avail >> a) & 1:
+                continue
+            for b in order:
+                if b <= a or not (pn_ab := pn[a][b] & avail) or not (avail >> b) & 1:
+                    continue
+                for c in order:
+                    if c <= b or not (pn_ab >> c) & 1:
+                        continue
+                    dmask = pn[a][b] & pn[a][c] & pn[b][c] & avail
+                    for d in order:
+                        if d > c and (dmask >> d) & 1:
+                            return (a, b, c, d)
+        return None
+
+    avail = dom_mask
+    paths = []
+    while (start := first_k4(avail)) is not None:
+        path = list(start)
+        avail &= ~mask_of(path)
+        flipped = False
+        while len(path) < q:
+            p, r, s = path[-3], path[-2], path[-1]
+            cands = pn[p][r] & pn[p][s] & pn[r][s] & avail
+            if cands:
+                u = next(v for v in order if (cands >> v) & 1)
+                path.append(u)
+                avail &= ~(1 << u)
+            elif not flipped:
+                path.reverse()
+                flipped = True
+            else:
+                break
+        if len(path) == q:
+            paths.append(tuple(path))
+    covered = {v for p in paths for v in p}
+    uncovered = frozenset(v for v in bits_of(dom_mask) if v not in covered)
+    return paths, uncovered, mu * h.n
+
+
+def assert_cover_matches_reference(h, q, mu, seed, domain):
+    res = cover_with_squared_paths(h, q, mu, seed=seed, domain=domain)
+    assert ([p.vertices for p in res.paths], res.uncovered, res.mu_bound) == (
+        reference_cover(h, q, mu, seed=seed, domain=domain)
+    )
 
 
 def bad_pairs(oracle, n):
@@ -172,6 +238,13 @@ class TestWeightedTiling:
         til = weighted_tiling(complete(6), [], classify_pairs(complete(6), 0))
         assert til.tiles == [] and til.weight == 0
 
+    def test_duplicate_domain_vertices_count_once(self):
+        h = complete(8)
+        oracle = classify_pairs(h, 3)
+        til = weighted_tiling(h, [0, 0, 1, 2, 3, 4], oracle, seed=1)
+        assert til == weighted_tiling(h, [0, 1, 2, 3, 4], oracle, seed=1)
+        assert sorted(v for t in til.tiles for v in t) == [0, 1, 2, 3]
+
     def test_micro_matches_exhaustive(self):
         rng = random.Random(42)
         for trial in range(60):
@@ -284,6 +357,43 @@ class TestCover:
         masked = cover_with_squared_paths(h, 4, 0.5, seed=1, domain=0b100110101101)
         assert [p.vertices for p in listed.paths] == [p.vertices for p in masked.paths]
         assert listed.uncovered == masked.uncovered
+
+    def test_bool_domain_rejected(self):
+        for domain in (True, False):
+            with pytest.raises(ValueError, match="domain"):
+                cover_with_squared_paths(complete(8), 4, 0.5, domain=domain)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 40),
+        st.floats(0.3, 1.0),
+        st.integers(0, 10**6),
+        st.sampled_from([4, 8, 12]),
+        st.one_of(st.none(), st.integers(0, 2**63 - 1)),
+        st.sampled_from(["none", "mask", "list", "empty"]),
+        st.integers(0, 10**6),
+    )
+    def test_matches_reference(self, n, p, graph_seed, q, seed, kind, domain_seed):
+        h = random_hypergraph(n, p, graph_seed)
+        rng = random.Random(domain_seed)
+        chosen = [v for v in range(n) if rng.random() < 0.7]
+        domain = {
+            "none": None,
+            "mask": mask_of(chosen),
+            "list": chosen,
+            "empty": set(),
+        }[kind]
+        assert_cover_matches_reference(h, q, 0.5, seed, domain)
+
+    @pytest.mark.parametrize("n, delta", [(60, 0.85), (150, 0.9)])
+    def test_matches_reference_dense(self, n, delta):
+        h = dense_random(n, delta, n)
+        rng = random.Random(n)
+        for q in (4, 8, 12):
+            for seed in (None, 0, 1, rng.getrandbits(63)):
+                small = rng.sample(range(n), rng.randint(4, 24))
+                for domain in (None, small, mask_of(small), range(0, n, 2)):
+                    assert_cover_matches_reference(h, q, 0.1, seed, domain)
 
     def test_deterministic(self):
         h = random_hypergraph(14, 0.8, seed=46)
