@@ -240,9 +240,12 @@ def build_absorbing_path(
         seq.extend(t)
         used |= mask_of(interior) | mask_of(t)
     out = VertexSeq(tuple(seq))
-    assert is_squared_path(h, out)
-    assert len(out) <= (cfg.cap_m + 6) * len(fam.tuples)
-    assert not (mask_of(out.vertices) & r.members)
+    if not is_squared_path(h, out):
+        raise AssertionError("absorbing path is not a squared path")
+    if len(out) > (cfg.cap_m + 6) * len(fam.tuples):
+        raise AssertionError("absorbing path is longer than its joins allow")
+    if mask_of(out.vertices) & r.members:
+        raise AssertionError("absorbing path uses a reservoir vertex")
     return out
 
 
@@ -295,7 +298,10 @@ def absorb(h: Hypergraph3, pa: VertexSeq, fam: AbsorberFamily, x) -> VertexSeq:
         if i in after:
             seq.append(after[i])
     out = VertexSeq(tuple(seq))
-    assert is_squared_path(h, out)
-    assert out.start_triple == pa.start_triple and out.end_triple == pa.end_triple
-    assert set(out.vertices) == set(vs) | set(xs)
+    if not is_squared_path(h, out):
+        raise AssertionError("absorbed path is not a squared path")
+    if out.start_triple != pa.start_triple or out.end_triple != pa.end_triple:
+        raise AssertionError("absorbing changed the path's end triples")
+    if set(out.vertices) != set(vs) | set(xs):
+        raise AssertionError("absorbed path has the wrong vertex set")
     return out

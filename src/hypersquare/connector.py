@@ -138,7 +138,8 @@ def _connect(h, abc, xyz, allowed: int, cap_m: int, budget: int) -> VertexSeq | 
     if interior is None:
         return None
     seq = VertexSeq(abc + interior + xyz)
-    assert is_squared_path(h, seq)
+    if not is_squared_path(h, seq):
+        raise AssertionError(f"connection {abc} -> {xyz} is not a squared path")
     return seq
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import operator
 import random
 
@@ -486,10 +487,102 @@ class AuxGraph:
 
 
 # Text format: first non-comment line "n <N>", then one edge "i j k" per
-# line with i < j < k, '#' starts a comment, duplicates rejected.
+# line with i < j < k, '#' starts a comment, duplicates rejected.  The
+# canonical form, which format_hypergraph writes, has the header "n <N>" and
+# then the edges in lexicographic order, one "i j k" per line with single
+# spaces, each line ending in "\n".
+
+# body characters per chunk of the fast parse: bounds its transient memory
+_PARSE_CHUNK = 1 << 14
+# deletes the ASCII digits in str.translate
+_NO_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
+# maps the digits of bin() to the 0/1 selector bytes of itertools.compress
+_BIN_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def parse_hypergraph(text: str) -> Hypergraph3:
+    """The hypergraph that ``text`` describes; ParseError names the first
+    offending line.  Text whose edge lines are in canonical form, in any
+    order, takes a fast path; any other text, valid or not, is read line by
+    line, with the same result."""
+    h = _parse_canonical(text)
+    return _parse_lines(text) if h is None else h
+
+
+def _parse_canonical(text: str) -> Hypergraph3 | None:
+    """The hypergraph of ``text`` if it is blank and comment lines, the
+    header "n <ASCII digits>" and then canonical edge lines; None on
+    anything else.  ``_parse_lines`` reads every text this accepts as the
+    same Hypergraph3, so this never raises ParseError.
+
+    The edge lines are read in chunks of about ``_PARSE_CHUNK`` characters,
+    each split into tokens once and its line structure checked on the
+    separators left when the digits are deleted; every per-edge step but
+    the final OR into the masks is a C-level pass.
+    """
+    # the header: lines split at "\n" only, each skipped by the rule of
+    # _parse_lines until the first that is not
+    pos = 0
+    while True:
+        end = text.find("\n", pos)
+        if end < 0:
+            return None
+        line = text[pos:end].strip()
+        if line and not line.startswith("#"):
+            break
+        pos = end + 1
+    head = text[:end]
+    # splitlines would also cut at "\r", "\x0c", "\u2028" and others
+    if head.split("\n") != head.splitlines():
+        return None
+    header = text[pos:end]
+    digits = header[2:]
+    if header[:2] != "n " or not (digits.isascii() and digits.isdigit()):
+        return None
+    n = int(digits)
+    pos = end + 1
+    size = len(text)
+    if pos < size and text[-1] != "\n":
+        return None
+    index = {str(v): v for v in range(n)}
+    bit = {name: 1 << v for name, v in index.items()}
+    up = [[0] * n for _ in range(n)]
+    row_of = dict(zip(index, up))
+    lines = 0
+    try:
+        while pos < size:
+            cut = text.find("\n", min(pos + _PARSE_CHUNK, size - 1)) + 1
+            chunk = text[pos:cut]
+            pos = cut
+            toks = chunk.split()
+            count = len(toks) // 3
+            # each line three nonempty runs of ASCII digits with one space
+            # between them: the digits deleted, only the separators remain
+            if len(toks) != 3 * count or chunk.translate(_NO_DIGITS) != "  \n" * count:
+                return None
+            lines += count
+            i_t, j_t, k_t = toks[0::3], toks[1::3], toks[2::3]
+            # the lookups reject every token but the canonical names 0..n-1
+            rows = map(row_of.__getitem__, i_t)
+            for row, b, c in zip(rows, map(index.__getitem__, j_t), map(bit.__getitem__, k_t)):
+                row[b] |= c
+    except KeyError:
+        return None
+    # i < j < k on every line: up[a][b] is zero unless a < b, and has no
+    # bit at or below b
+    low = [(2 << b) - 1 for b in range(n)]
+    for a, row in enumerate(up):
+        if any(row[: a + 1]) or any(map(operator.and_, row, low)):
+            return None
+    # no line repeats an edge
+    if sum(map(int.bit_count, itertools.chain.from_iterable(up))) != lines:
+        return None
+    return Hypergraph3.from_pair_masks(n, pair_masks_from_upper(n, up))
+
+
+def _parse_lines(text: str) -> Hypergraph3:
+    """parse_hypergraph one line at a time: any valid text, and the
+    ParseError of the first offending line."""
     n = None
     up = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -526,13 +619,19 @@ def parse_hypergraph(text: str) -> Hypergraph3:
 
 
 def format_hypergraph(h: Hypergraph3) -> str:
+    """The canonical text of ``h``: the header, then its edges in the order
+    of ``iter_edges``, one "i j k" line each."""
     n, pn = h.n, h._pn
     names = [str(w) for w in range(n)]
-    lines = [f"n {n}"]
-    # the edges u < v < w in lexicographic order, as iter_edges yields them
+    parts = [f"n {n}\n"]
     for u in range(n):
         row = pn[u]
         for v in range(u + 1, n - 1):
-            prefix = f"{u} {v} "
-            lines.extend([prefix + names[w] for w in bits_of(row[v] >> (v + 1) << (v + 1))])
-    return "\n".join(lines) + "\n"
+            m = row[v] >> (v + 1)
+            if m:
+                # flags[t] is bit t of m, that is, whether u v (v+1+t) is an edge
+                flags = bin(m)[:1:-1].encode().translate(_BIN_FLAGS)
+                prefix = f"{u} {v} "
+                edges = ("\n" + prefix).join(itertools.compress(names[v + 1 :], flags))
+                parts.append(prefix + edges + "\n")
+    return "".join(parts)

@@ -269,10 +269,12 @@ def weighted_tiling(
             best = til
     assert best is not None
     for t in best.tiles:
-        assert _tile_ok(h, oracle, t)
+        if not _tile_ok(h, oracle, t):
+            raise AssertionError(f"tile {t} is not a good tile")
     seen: set[int] = set()
     for t in best.tiles:
-        assert not (seen & set(t))
+        if seen & set(t):
+            raise AssertionError(f"tile {t} overlaps an earlier tile")
         seen |= set(t)
     return best
 
@@ -413,7 +415,8 @@ def cover_with_squared_paths(
             break
         if len(path) == q:
             seq = VertexSeq(tuple(path))
-            assert is_squared_path(h, seq)
+            if not is_squared_path(h, seq):
+                raise AssertionError("cover path is not a squared path")
             paths.append(seq)
         # vertices of a failed partial path stay uncovered but are not
         # offered to later paths, which guarantees termination

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,8 @@ from hypersquare import (
 )
 from hypersquare.pipeline import _k4_adjacency
 from conftest import brute_has_hamiltonian
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def relabel(h: Hypergraph3, perm: list[int]) -> Hypergraph3:
@@ -165,6 +171,25 @@ class TestCycleOracle:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             oracle_has_squared_hamiltonian(complete(4))
+
+    def test_witness_certified_under_optimize(self):
+        """python -O strips assert statements; the witness check must stay."""
+        code = (
+            "import sys\n"
+            "from hypersquare import complete, pipeline\n"
+            "pipeline.certify_hamiltonian = lambda h, cycle: False\n"
+            "try:\n"
+            "    pipeline.oracle_has_squared_hamiltonian(complete(6))\n"
+            "except AssertionError:\n"
+            "    print(sys.flags.optimize, 'raised')\n"
+            "else:\n"
+            "    print(sys.flags.optimize, 'returned')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["1", "raised"]
 
 
 class TestTilingOracle:
