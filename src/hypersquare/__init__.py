@@ -27,7 +27,6 @@ from .certify import (
     format_sequence,
     is_squared_cycle,
     is_squared_path,
-    is_squared_v_walk,
     is_squared_walk,
     is_v_absorber,
     parse_sequence,

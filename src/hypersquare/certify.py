@@ -100,36 +100,6 @@ def is_squared_walk(h: Hypergraph3, s: VertexSeq) -> bool:
     )
 
 
-def is_squared_v_walk(
-    h: Hypergraph3, v: int, abc, xyz, interior=()
-) -> bool:
-    """True iff a,b,c,interior...,x,y,z is a tight walk in the hypergraph
-    and a squared walk in the link graph of v.
-
-    The end triples must be edges and v must avoid all sequence vertices;
-    those are preconditions, not outcomes.
-    """
-    abc = tuple(abc)
-    xyz = tuple(xyz)
-    interior = tuple(interior)
-    if not h.has_edge(*abc):
-        raise ValueError(f"start triple {abc} is not an edge")
-    if not h.has_edge(*xyz):
-        raise ValueError(f"end triple {xyz} is not an edge")
-    h.check_vertex(v)
-    seq = abc + interior + xyz
-    if v in seq:
-        raise ValueError("v must avoid the walk vertices")
-    for i in range(len(seq) - 2):
-        if not h.has_edge(seq[i], seq[i + 1], seq[i + 2]):
-            return False
-    for i in range(len(seq)):
-        for j in (i + 1, i + 2):
-            if j < len(seq) and not h.has_edge(v, seq[i], seq[j]):
-                return False
-    return True
-
-
 def is_v_absorber(h: Hypergraph3, v: int, t) -> bool:
     """True iff t = (a..f) has 6 distinct vertices, none equal to v, and both
     abcdef and abcvdef are squared paths.  Violations yield False."""

@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 
 from . import __version__
@@ -92,14 +91,8 @@ def _add_config_flags(p: argparse.ArgumentParser, *names: str):
 def _resolve_seed(args, required: bool) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    env = os.environ.get("HYPERSQUARE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"HYPERSQUARE_SEED={env!r} is not an integer") from None
     if required:
-        raise _UsageError("--seed is required (or set HYPERSQUARE_SEED)")
+        raise _UsageError("--seed is required")
     return 0
 
 
@@ -356,7 +349,6 @@ def _cmd_probe(args, argv) -> int:
         time_limit=args.time_limit,
         run_oracle=not args.no_oracle,
         run_pipeline=not args.no_pipeline,
-        jobs=args.jobs,
     )
     _emit(f"{_manifest_line(_manifest('probe', argv, seed=seed))}\n{csv_text}")
     return EXIT_OK
@@ -444,7 +436,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--time-limit", dest="time_limit", type=float, default=60.0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-oracle", action="store_true")
     p.add_argument("--no-pipeline", action="store_true")
     p.set_defaults(func=_cmd_probe)

@@ -25,6 +25,10 @@ from .core import Config, Hypergraph3, ResourceLimitError, bits_of, derive_seed,
 from .generators import dense_instance
 from .tiling import cover_with_squared_paths
 
+# each exact oracle memoizes at most this many failed search states; past
+# the cap, further dead ends are searched again when reached
+FAILED_MEMO_CAP = 2_000_000
+
 
 @dataclasses.dataclass
 class ConstructionReport:
@@ -318,7 +322,7 @@ def oracle_has_squared_hamiltonian(
                     if rec(used_u, q, r, u, nxt, depth):
                         return True
                     order.pop()
-            if len(failed) < 2_000_000:
+            if len(failed) < FAILED_MEMO_CAP:
                 failed.add(key)
             return False
 
@@ -377,7 +381,7 @@ def oracle_has_perfect_k4_tiling(
                     if rec(avail & ~((1 << v) | (1 << x) | (1 << y) | (1 << z))):
                         return True
                     chosen.pop()
-        if len(failed) < 2_000_000:
+        if len(failed) < FAILED_MEMO_CAP:
             failed.add(avail)
         return False
 
@@ -396,26 +400,6 @@ def oracle_has_perfect_k4_tiling(
 PROBE_FIELDS = ("fraction", "trial", "oracle", "pipeline", "agreement")
 
 
-def _probe_cell(args) -> tuple:
-    n, fraction, trial, cell_seed, time_limit, run_oracle, run_pipeline = args
-    inst = dense_instance(n, fraction, cell_seed)
-    oracle_verdict = "skipped"
-    if run_oracle:
-        oracle_verdict = oracle_has_squared_hamiltonian(inst, time_limit).status
-    pipeline_verdict = "skipped"
-    if run_pipeline:
-        report = construct_squared_hamiltonian(inst, Config(seed=cell_seed))
-        pipeline_verdict = report.outcome
-    if run_oracle and run_pipeline:
-        if pipeline_verdict == "cycle" and oracle_verdict == "no":
-            agreement = "violation"
-        else:
-            agreement = "consistent"
-    else:
-        agreement = "n/a"
-    return (f"{fraction:g}", trial, oracle_verdict, pipeline_verdict, agreement)
-
-
 def threshold_probe(
     n: int,
     grid,
@@ -424,34 +408,37 @@ def threshold_probe(
     time_limit: float | None = 60.0,
     run_oracle: bool = True,
     run_pipeline: bool = True,
-    jobs: int = 1,
 ) -> str:
     """CSV report over a grid of target pair-degree fractions.
 
     For each fraction, ``trials`` seeded instances are generated and judged
     by the exact oracle and/or the construction pipeline.  Output is
-    byte-deterministic under the seed; parallel jobs only change wall time.
+    byte-deterministic under the seed.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    cells = []
+    rows = []
     for gi, fraction in enumerate(grid):
         for trial in range(trials):
             cell_seed = derive_seed(seed, "probe", gi, trial)
-            cells.append(
-                (n, fraction, trial, cell_seed, time_limit, run_oracle, run_pipeline)
+            inst = dense_instance(n, fraction, cell_seed)
+            oracle_verdict = "skipped"
+            if run_oracle:
+                oracle_verdict = oracle_has_squared_hamiltonian(inst, time_limit).status
+            pipeline_verdict = "skipped"
+            if run_pipeline:
+                pipeline_verdict = construct_squared_hamiltonian(
+                    inst, Config(seed=cell_seed)
+                ).outcome
+            if not (run_oracle and run_pipeline):
+                agreement = "n/a"
+            elif pipeline_verdict == "cycle" and oracle_verdict == "no":
+                agreement = "violation"
+            else:
+                agreement = "consistent"
+            rows.append(
+                (f"{fraction:g}", trial, oracle_verdict, pipeline_verdict, agreement)
             )
-    rows = None
-    if jobs > 1 and cells:
-        import concurrent.futures
-
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_probe_cell, cells))
-        except (OSError, RuntimeError):
-            rows = None  # no subprocess support here; fall back to one worker
-    if rows is None:
-        rows = [_probe_cell(c) for c in cells]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(PROBE_FIELDS)

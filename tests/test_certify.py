@@ -13,7 +13,6 @@ from hypersquare import (
     is_k4,
     is_squared_cycle,
     is_squared_path,
-    is_squared_v_walk,
     is_squared_walk,
     is_v_absorber,
     parse_sequence,
@@ -146,63 +145,6 @@ class TestSquaredWalk:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             is_squared_walk(complete(5), VertexSeq((0, 1)))
-
-
-class TestSquaredVWalk:
-    def test_complete_empty_interior(self):
-        assert is_squared_v_walk(complete(8), 7, (0, 1, 2), (3, 4, 5))
-
-    def test_missing_link_pair(self):
-        h = drop(complete(8), (7, 2, 3))
-        assert not is_squared_v_walk(h, 7, (0, 1, 2), (3, 4, 5))
-
-    def test_v_in_interior_rejected(self):
-        with pytest.raises(ValueError):
-            is_squared_v_walk(complete(8), 7, (0, 1, 2), (3, 4, 5), (7,))
-
-    def test_non_edge_triple_rejected(self):
-        h = drop(complete(8), (0, 1, 2))
-        with pytest.raises(ValueError):
-            is_squared_v_walk(h, 7, (0, 1, 2), (3, 4, 5))
-
-    def test_interior_walk(self):
-        assert is_squared_v_walk(complete(9), 8, (0, 1, 2), (4, 5, 6), (3,))
-
-    def test_agrees_with_direct_definition(self):
-        def brute(h, v, abc, xyz, interior):
-            seq = tuple(abc) + tuple(interior) + tuple(xyz)
-            tight = all(
-                h.has_edge(seq[i], seq[i + 1], seq[i + 2])
-                for i in range(len(seq) - 2)
-            )
-            link_sq = all(
-                h.has_edge(v, seq[i], seq[j])
-                for i in range(len(seq))
-                for j in (i + 1, i + 2)
-                if j < len(seq)
-            )
-            return tight and link_sq
-
-        rng = random.Random(123)
-        for trial in range(120):
-            n = rng.randint(8, 10)
-            h = random_hypergraph(n, rng.choice([0.6, 0.8, 1.0]), seed=40000 + trial)
-            edges = list(h.iter_edges())
-            abc = rng.choice(edges) if edges else None
-            if abc is None:
-                continue
-            rest = [e for e in edges if not set(e) & set(abc)]
-            if not rest:
-                continue
-            xyz = rng.choice(rest)
-            v = rng.choice([u for u in range(n) if u not in abc and u not in xyz])
-            interior = tuple(
-                rng.choice([u for u in range(n) if u != v])
-                for _ in range(rng.randint(0, 2))
-            )
-            assert is_squared_v_walk(h, v, abc, xyz, interior) == brute(
-                h, v, abc, xyz, interior
-            )
 
 
 class TestVAbsorber:

@@ -1,7 +1,13 @@
 import io
 import json
 
-from hypersquare import Config, complete, format_hypergraph, parse_hypergraph
+from hypersquare import (
+    Config,
+    complete,
+    dense_instance,
+    format_hypergraph,
+    parse_hypergraph,
+)
 from hypersquare.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -26,23 +32,27 @@ class TestGen:
         assert manifest["argv"] == ["gen", "complete", "5"]
 
     def test_random_requires_seed(self, capsys, monkeypatch):
-        monkeypatch.delenv("HYPERSQUARE_SEED", raising=False)
         code, _, err = run_cli(
             capsys, monkeypatch, ["gen", "random", "8", "--p", "0.5"]
         )
         assert code == EXIT_USAGE
         assert "seed" in err
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
+    def test_seed_env_var_ignored(self, capsys, monkeypatch):
+        # replay needs only the manifest's argv: the environment supplies no
+        # seed, so a seedless command runs with seed 0 whatever is set
+        text = format_hypergraph(dense_instance(16, 0.8, 2))
+        argv = ["construct", "--theta-star", "0.3"]
+        monkeypatch.delenv("HYPERSQUARE_SEED", raising=False)
+        code, out_unset, _ = run_cli(capsys, monkeypatch, argv, stdin_text=text)
+        assert code in (EXIT_OK, EXIT_FAILURE)
         monkeypatch.setenv("HYPERSQUARE_SEED", "7")
-        code, out_env, _ = run_cli(
-            capsys, monkeypatch, ["gen", "random", "8", "--p", "0.5"]
-        )
-        assert code == EXIT_OK
-        code, out_flag, _ = run_cli(
-            capsys, monkeypatch, ["gen", "random", "8", "--p", "0.5", "--seed", "7"]
-        )
-        assert parse_hypergraph(out_env) == parse_hypergraph(out_flag)
+        assert run_cli(capsys, monkeypatch, argv, stdin_text=text)[:2] == (code, out_unset)
+        assert json.loads(out_unset)["manifest"]["seed"] == 0
+        code, out, err = run_cli(capsys, monkeypatch, ["gen", "random", "8", "--p", "0.5"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "seed" in err
 
     def test_dense_deterministic_bytes(self, capsys, monkeypatch):
         argv = ["gen", "dense", "12", "--delta2", "0.8", "--seed", "3"]
@@ -293,6 +303,11 @@ class TestUsage:
     def test_unknown_command(self, capsys, monkeypatch):
         code, _, _ = run_cli(capsys, monkeypatch, ["frobnicate"])
         assert code == EXIT_USAGE
+        argv = ["probe", "--n", "8", "--grid", "0.8", "--trials", "1", "--seed", "1"]
+        code, out, err = run_cli(capsys, monkeypatch, argv + ["--jobs", "2"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unrecognized arguments: --jobs 2" in err
 
     def test_bad_config_value(self, capsys, monkeypatch):
         text = format_hypergraph(complete(20))

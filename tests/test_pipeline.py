@@ -280,8 +280,3 @@ class TestThresholdProbe:
         csv_text = threshold_probe(9, [0.8, 0.9], 4, seed=6)
         for row in csv_text.strip().splitlines()[1:]:
             assert row.split(",")[4] != "violation"
-
-    def test_parallel_jobs_identical_output(self):
-        a = threshold_probe(8, [0.7], 3, seed=7, jobs=1)
-        b = threshold_probe(8, [0.7], 3, seed=7, jobs=2)
-        assert a == b
