@@ -49,8 +49,6 @@ from .core import (
     derive_seed,
     format_hypergraph,
     is_k4,
-    joint_neighborhood3,
-    link_graph,
     mask_of,
     min_pair_degree,
     pair_degree,

@@ -170,10 +170,10 @@ def build_absorber_family(
     occupied = r.members
     # levels[k] holds the vertices that exactly k selected tuples absorb
     levels = [h.full_mask]
+    # occupied only grows, so a blocked vertex stays blocked for the build
     blocked = 0
-    max_rounds = 4 * n + 64
 
-    for _ in range(max_rounds):
+    while True:
         if max_tuples is not None and len(selected) >= max_tuples:
             break
         # lowest coverage first, ties to the lowest id; a vertex at the
@@ -197,7 +197,6 @@ def build_absorber_family(
         selected.append(t)
         absorbable.append(absorbable_mask(h, t))
         occupied |= mask_of(t)
-        blocked = 0
         # each vertex the new tuple absorbs moves up one level
         m = absorbable[-1]
         levels = [lv & ~m | lo & m for lo, lv in zip([0, *levels], [*levels, 0])]

@@ -328,24 +328,6 @@ def min_pair_degree(h: Hypergraph3) -> int:
     )
 
 
-def link_graph(h: Hypergraph3, v: int) -> "AuxGraph":
-    """Graph on all n vertices whose edges ab satisfy vab in E."""
-    h.check_vertex(v)
-    return AuxGraph(h.n, h.full_mask, list(h._pn[v]))
-
-
-def joint_neighborhood3(h: Hypergraph3, a: int, b: int, c: int) -> int:
-    """N(a,b) & N(a,c) & N(b,c) minus {a, b, c}, as a bitset: when abc is an
-    edge, the vertices completing it to a tetrahedron."""
-    h.check_vertex(a)
-    h.check_vertex(b)
-    h.check_vertex(c)
-    if a == b or a == c or b == c:
-        raise ValueError("joint neighborhood requires three distinct vertices")
-    pn = h._pn
-    return pn[a][b] & pn[a][c] & pn[b][c] & ~((1 << a) | (1 << b) | (1 << c))
-
-
 def is_k4(h: Hypergraph3, w: int, x: int, y: int, z: int) -> bool:
     """True iff the four vertices are distinct and span a tetrahedron."""
     if len({w, x, y, z}) != 4:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hypersquare import (
     enumerate_v_absorbers,
     is_squared_path,
     is_v_absorber,
+    pikhurko,
     random_hypergraph,
     sample_reservoir,
 )
@@ -157,10 +159,13 @@ class TestFamily:
             (48, 0.8, 3, 0.15, False, {"tie", "blocked"}),
             (36, 0.75, 6, 0.15, True, {"blocked"}),
             (30, 0.9, 9, 0.1, True, {"tie", "extra"}),
+            # delta None: pikhurko(n), whose part A0 has no absorber at all
+            (20, None, 1, 0.15, True, {"tie", "blocked", "extra"}),
+            (24, None, 1, 0.15, False, {"tie", "blocked"}),
         ],
     )
     def test_pick_matches_reference_key(self, n, delta, seed, theta_star, sized, events):
-        h = dense_random(n, delta, seed)
+        h = pikhurko(n)[0] if delta is None else dense_random(n, delta, seed)
         cfg = Config(theta_star=theta_star, seed=seed)
         r = sample_reservoir(h, cfg)
         size = max(1, (n - r.member_count) // 6) if sized else None
@@ -168,6 +173,24 @@ class TestFamily:
         tuples, seen = reference_family(h, r, cfg, min_tuples=size, max_tuples=size)
         assert fam.tuples == tuples
         assert seen == events
+
+    @pytest.mark.parametrize("n", [16, 20, 24])
+    @pytest.mark.parametrize("sized", [False, True])
+    def test_blocked_vertex_scanned_once(self, n, sized, monkeypatch):
+        empty = Counter()
+
+        def counting(h, v, *args, **kwargs):
+            out = enumerate_v_absorbers(h, v, *args, **kwargs)
+            empty[v] += not out
+            return out
+
+        monkeypatch.setattr("hypersquare.absorber.enumerate_v_absorbers", counting)
+        h = pikhurko(n)[0]
+        cfg = Config(seed=1)
+        r = sample_reservoir(h, cfg)
+        size = max(1, (n - r.member_count) // 6) if sized else None
+        build_absorber_family(h, r, cfg, min_tuples=size, max_tuples=size)
+        assert empty and max(empty.values()) == 1
 
     def test_complete40_coverage(self):
         h = complete(40)

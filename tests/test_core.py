@@ -16,8 +16,6 @@ from hypersquare import (
     complete,
     format_hypergraph,
     is_k4,
-    joint_neighborhood3,
-    link_graph,
     min_pair_degree,
     pair_degree,
     parse_hypergraph,
@@ -351,42 +349,6 @@ class TestDegrees:
             )
 
 
-class TestNeighborhoods:
-    def test_link_graph_complete(self):
-        g = link_graph(complete(5), 0)
-        assert g.degree(0) == 0
-        assert sorted(g.edges()) == sorted(itertools.combinations(range(1, 5), 2))
-
-    def test_link_graph_empty(self):
-        assert link_graph(Hypergraph3(5), 1).num_edges == 0
-
-    def test_link_graph_single_edge(self):
-        g = link_graph(Hypergraph3(3, [(0, 1, 2)]), 0)
-        assert list(g.edges()) == [(1, 2)]
-
-    def test_link_graph_size_matches_degree(self):
-        h = random_instance(8, 0.5, seed=2)
-        for v in range(8):
-            assert 2 * link_graph(h, v).num_edges == sum(
-                pair_degree(h, u, v) for u in range(8) if u != v
-            )
-
-    def test_joint_neighborhood_complete(self):
-        assert joint_neighborhood3(complete(6), 0, 1, 2) == mask_of([3, 4, 5])
-
-    def test_joint_neighborhood_missing_edge(self):
-        edges = set(complete(6).iter_edges()) - {(0, 1, 5)}
-        h = Hypergraph3(6, edges)
-        assert joint_neighborhood3(h, 0, 1, 2) == mask_of([3, 4])
-
-    def test_joint_neighborhood_empty(self):
-        assert joint_neighborhood3(Hypergraph3(6), 0, 1, 2) == 0
-
-    def test_joint_neighborhood_rejects_repeats(self):
-        with pytest.raises(ValueError):
-            joint_neighborhood3(complete(6), 0, 0, 2)
-
-
 class TestK4:
     def test_complete_k4(self):
         assert is_k4(complete(4), 0, 1, 2, 3)
@@ -501,7 +463,6 @@ class TestTinyInstances:
         h = Hypergraph3(n, [(0, 1, 2)] if n >= 3 else [])
         assert parse_hypergraph(format_hypergraph(h)) == h
         if n >= 3:
-            assert link_graph(h, 0).num_edges == 1
             assert pair_degree(h, 0, 1) == 1
 
 

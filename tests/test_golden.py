@@ -131,6 +131,19 @@ CONSTRUCT = {
     (50, 0.85, 2, 0.15, 2): ('cycle', None, 3, 7, '94f30edbb9dea1f177f861b0c9c85addff43f52eb0b5fc445611502335c99cc1'),
 }
 
+# (n, config seed) -> the CONSTRUCT record of Config(seed=seed) on
+# pikhurko(n), whose part A0 has no absorber, so every family build blocks
+# vertices.  Computed from the family build that rescanned every blocked
+# vertex after each added tuple, under a cap of 4n + 64 rounds.
+CONSTRUCT_PIKHURKO = {
+    (24, 0): ('failure', 'connect', 3, 2, 'e6c8a9088d36320f7b0a93c47463a6caa9dd928dd19c4591a96a04f11645d572'),
+    (24, 1): ('failure', 'connect', 3, 2, '6bcb9d23c90a884d876415c69f149e0eeaa1653fedfc150e4a2bc2a8ccaa5797'),
+    (32, 0): ('failure', 'connect', 3, 2, '3b49535521fadd77782422cae8df9f0ac9534ab62487401df1e4a4020ae272f6'),
+    (32, 1): ('failure', 'connect', 3, 2, '8ecdae8cd7a6d84b37080f496822469c4533059d2ad0dbdaddb815029072a928'),
+    (40, 0): ('failure', 'connect', 3, 3, '2a41669a5612cf059ae5cefaf6e17d5455f57fdaba41fc8fb6dab35fea6b8bd1'),
+    (40, 1): ('failure', 'connect', 3, 4, '252b7345d7448bffd55f5f22146304f7eef53c628ca3379d59cd1f14c5b7a001'),
+}
+
 # (n, seed) -> sha256 of the stdout of `hypersquare absorb --demo --n n --seed seed`
 # after its manifest line; the manifest is checked on its own
 ABSORB_DEMO = {
@@ -638,9 +651,8 @@ STAT_KEYS = (
 )
 
 
-def construct_record(n, delta, inst_seed, theta_star, cfg_seed):
-    h = _dense_random(n, delta, inst_seed)
-    rep = construct_squared_hamiltonian(h, Config(theta_star=theta_star, seed=cfg_seed))
+def construct_record(h, cfg):
+    rep = construct_squared_hamiltonian(h, cfg)
     stats = [(k, rep.stats[k]) for k in STAT_KEYS if k in rep.stats]
     cycle = rep.cycle.vertices if rep.cycle else None
     return (
@@ -679,7 +691,16 @@ def test_pikhurko_text(n):
 
 @pytest.mark.parametrize("cell", sorted(CONSTRUCT))
 def test_construct_cycle(cell):
-    assert construct_record(*cell) == CONSTRUCT[cell]
+    n, delta, inst_seed, theta_star, cfg_seed = cell
+    h = _dense_random(n, delta, inst_seed)
+    cfg = Config(theta_star=theta_star, seed=cfg_seed)
+    assert construct_record(h, cfg) == CONSTRUCT[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(CONSTRUCT_PIKHURKO))
+def test_construct_pikhurko(cell):
+    n, seed = cell
+    assert construct_record(pikhurko(n)[0], Config(seed=seed)) == CONSTRUCT_PIKHURKO[cell]
 
 
 @pytest.mark.parametrize("cell", list(WEIGHTED_TILING))
