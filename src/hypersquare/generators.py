@@ -230,10 +230,11 @@ def dense_random(n: int, delta2_target: float, seed: int) -> Hypergraph3:
 
 
 def dense_instance(n: int, fraction: float, seed: int) -> Hypergraph3:
-    """Probe-friendly variant of dense_random: the target degree is clamped
-    to the feasible range [0, n - 2], so grid fractions 0.0 and 1.0 are
-    usable (0.0 keeps the sparse random base, 1.0 forces a near-complete
-    instance)."""
+    """Probe-friendly variant of dense_random: the target degree
+    ceil(fraction * n) is clamped to the feasible range [0, n - 2], so grid
+    fractions 0.0 and 1.0 are usable.  0.0 keeps the sparse random base, and
+    every fraction with ceil(fraction * n) >= n - 2, roughly fraction >
+    (n - 3) / n, gives exactly complete(n)."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction={fraction} must lie in [0, 1]")
     required = min(math.ceil(fraction * n), max(n - 2, 0))

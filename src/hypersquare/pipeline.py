@@ -28,6 +28,12 @@ from .tiling import cover_with_squared_paths
 # each exact oracle memoizes at most this many failed search states; past
 # the cap, further dead ends are searched again when reached
 FAILED_MEMO_CAP = 2_000_000
+# the cycle oracle lists a head's closing tails only when the head has at
+# most this many closing pairs (y, z).  A head of dense_instance(16|18, 0.5)
+# has a median of 5 pairs (p90 15) and 30 tails (p90 113), and its search
+# is long; one of dense_instance(14, 0.6-0.9) has a median of 33 pairs
+# (p90 90) and up to 7,200 tails, and the first head usually holds a cycle
+CLOSING_PAIR_CAP = 24
 
 
 @dataclasses.dataclass
@@ -222,20 +228,67 @@ def _k4_adjacency(h: Hypergraph3) -> list[int]:
     """adj[u] = bitset of vertices sharing some tetrahedron with u.
 
     u ~ v iff some c in N(u, v) leaves N(u, v) & N(u, c) & N(v, c) nonempty:
-    any d in that set spans the tetrahedron uvcd.
+    any d in that set spans the tetrahedron uvcd.  Each tetrahedron found
+    also links u, v and c to every such d, so those pairs are not searched.
     """
     n, pn = h.n, h._pn
     adj = [0] * n
     for u in range(n):
         row_u = pn[u]
         for v in range(u + 1, n):
+            if adj[u] >> v & 1:
+                continue
             nuv, row_v = row_u[v], pn[v]
             for c in bits_of(nuv):
-                if nuv & row_u[c] & row_v[c]:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
+                ds = nuv & row_u[c] & row_v[c]
+                if ds:
+                    uvc = (1 << u) | (1 << v) | (1 << c)
+                    for x in (u, v, c):
+                        adj[x] |= (uvc & ~(1 << x)) | ds
+                    for d in bits_of(ds):
+                        adj[d] |= uvc
                     break
     return adj
+
+
+def _closing_tails(
+    pn: list[list[int]], v1: int, head: int, close: int
+) -> tuple[int, list[int]] | None:
+    """The tails (w, x, y, z) that can end a cycle opening 0 v1 v2, as
+    (every, keep): ``every`` has one bit per tail and ``keep[u]`` the bits of
+    the tails avoiding u.  None when the head has more than
+    ``CLOSING_PAIR_CAP`` closing pairs (y, z).
+
+    z lies in close, y z 0 v1, x y z 0 and w x y z are tetrahedra, and no
+    tail vertex is in the head.
+    """
+    base = pn[0][v1] & ~head
+    pairs = []
+    count = 0
+    for z in bits_of(close):
+        ys = base & pn[z][0] & pn[z][v1]
+        count += ys.bit_count()
+        if count > CLOSING_PAIR_CAP:
+            return None
+        pairs.append((z, ys))
+    # hit[u] = the tails through u; the tails sharing z, then y, then x are
+    # numbered consecutively, so those take one block of bits each
+    hit = [0] * len(pn)
+    bit = 1
+    for z, ys in pairs:
+        row_z, from_z = pn[z], bit
+        for y in bits_of(ys):
+            yz, from_y = row_z[y] & ~head, bit
+            for x in bits_of(yz & pn[y][0] & row_z[0]):
+                from_x = bit
+                for w in bits_of(yz & pn[x][y] & pn[x][z]):
+                    hit[w] |= bit
+                    bit <<= 1
+                hit[x] |= bit - from_x
+            hit[y] |= bit - from_y
+        hit[z] |= bit - from_z
+    every = bit - 1
+    return every, [every & ~tails for tails in hit]
 
 
 def oracle_has_squared_hamiltonian(
@@ -245,12 +298,18 @@ def oracle_has_squared_hamiltonian(
 
     Vertex 0 is pinned first and the direction fixed by second < last, which
     removes the 2n cyclic symmetries.  States are the last three placed
-    vertices, and failed (placed-set, state) pairs are memoized.  Two prunes
-    cut a branch before it is searched:
+    vertices, and failed (placed-set, state) pairs are memoized.  Three
+    prunes cut a branch before it is searched:
 
     - closing vertex: the last vertex closes the windows through 0, v1 and
       v2 (the first three), so it lies in N(0, v1) & N(0, v2) & N(v1, v2)
       above v1; a branch whose unplaced vertices miss that set dies;
+    - closing tail: for n >= 7 the last four vertices w x y z lie off the
+      head, z closes it and y z 0 v1, x y z 0 and w x y z are tetrahedra;
+      a branch with four or more places left dies when no such tail is
+      still unplaced, and a head with no tail is not searched.  The tails
+      are listed only for heads with few closing pairs (y, z), see
+      ``CLOSING_PAIR_CAP``;
     - window: a branch dies when some unplaced vertex no longer has six
       potential tetrahedron partners among the usable vertices.
 
@@ -272,6 +331,8 @@ def oracle_has_squared_hamiltonian(
     # holds n - depth + min(depth, 6) vertices, so a vertex sharing a
     # tetrahedron with every other vertex keeps at least need mates in it.
     deficient = mask_of(v for v in range(n) if k4adj[v] | (1 << v) != full)
+    # alive & unplaced[u] drops u from the closing vertices still unplaced
+    unplaced = [~(1 << u) for u in range(n)]
 
     def search(v1: int, v2: int) -> tuple[int, ...] | None:
         failed: set[tuple[int, int, int, int]] = set()
@@ -283,9 +344,24 @@ def oracle_has_squared_hamiltonian(
         # searched in one direction only
         k4_head = pn[0][v1] & pn[0][v2] & pn[v1][v2]
         close = k4_head & ~((2 << v1) - 1)
+        if not close:
+            return None
+        # alive is the set of closing vertices still unplaced, or, up to
+        # depth cut, the set of closing tails still unplaced; either way a
+        # function of the placed set alone, so the memo key stays sound
+        alive, tail_keep, cut = close, unplaced, n
+        # below 7 vertices the tail overlaps the head
+        tails = _closing_tails(pn, v1, head, close) if n >= 7 else None
+        if tails is not None:
+            alive, tail_keep = tails
+            if not alive:
+                return None
+            cut = n - 4
 
-        def rec(used: int, p: int, q: int, r: int, cands: int, depth: int) -> bool:
-            # cands is nonempty and some unplaced vertex lies in close
+        def rec(
+            used: int, p: int, q: int, r: int, cands: int, depth: int, alive: int
+        ) -> bool:
+            # cands is nonempty and alive is nonempty
             key = (used, p, q, r)
             if key in failed:
                 return False
@@ -303,6 +379,12 @@ def oracle_has_squared_hamiltonian(
             row_q, row_r = pn[q], pn[r]
             qr = row_q[r]
             depth += 1
+            if depth > cut:
+                # u may be the tail's first vertex or later: fall back to
+                # the closing vertex
+                alive, keep = close & ~used, unplaced
+            else:
+                keep = tail_keep
             while cands:
                 low = cands & -cands
                 cands ^= low
@@ -317,9 +399,10 @@ def oracle_has_squared_hamiltonian(
                     continue
                 used_u = used | low
                 nxt &= ~used_u
-                if nxt and close & ~used_u:
+                alive_u = alive & keep[u]
+                if nxt and alive_u:
                     order.append(u)
-                    if rec(used_u, q, r, u, nxt, depth):
+                    if rec(used_u, q, r, u, nxt, depth, alive_u):
                         return True
                     order.pop()
             if len(failed) < FAILED_MEMO_CAP:
@@ -327,7 +410,7 @@ def oracle_has_squared_hamiltonian(
             return False
 
         try:
-            if close and rec(head, 0, v1, v2, k4_head & ~head, 3):
+            if rec(head, 0, v1, v2, k4_head & ~head, 3, alive):
                 return (0, v1, v2) + tuple(order)
             return None
         finally:

@@ -220,3 +220,13 @@ class TestDenseInstance:
 
     def test_matches_dense_random_inside_range(self):
         assert dense_instance(12, 0.8, seed=5) == dense_random(12, 0.8, seed=5)
+
+    @pytest.mark.parametrize("fraction", [0.8, 0.85, 0.9, 1.0])
+    def test_clamped_degree_gives_complete(self, fraction):
+        # ceil(fraction * 14) >= 12 = n - 2 asks for every pair's full degree
+        for seed in range(20):
+            assert dense_instance(14, fraction, seed) == complete(14)
+
+    def test_below_clamp_not_complete(self):
+        # ceil(0.78 * 14) = 11 < 12, so some pair misses a vertex
+        assert all(dense_instance(14, 0.78, seed) != complete(14) for seed in range(20))

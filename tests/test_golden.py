@@ -247,6 +247,15 @@ COVER = {
 # ("pikhurko", n).  sha256 of (status, witness) of the exact oracle with no
 # time limit; a cycle witness is hashed as its vertex tuple.
 ORACLE_CYCLE = {
+    ('dense_instance', 7, 0.4, 0): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 7, 0.5, 0): '36083714d26578a8f7938cabc6e2947e18d3d7dcafe3cd7b4d601dace7d0d6c9',
+    ('dense_instance', 7, 0.5, 2): '53f01e48d958f0899721466c35780ade9237ece0ecfc1f00f4634f3a61517ed8',
+    ('dense_instance', 7, 0.5, 3): '6be4de5d702b9cf869ee487d254646a20f05867f161c982937b17c080b82239f',
+    ('dense_instance', 8, 0.4, 0): '120984c10003864dbf8ba56e2a07982e0722481350923ea0aa86f0fd11c4fb04',
+    ('dense_instance', 8, 0.4, 1): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
+    ('dense_instance', 8, 0.6, 0): '0313aac7b8057aefa1c23182dfda083e71e62d4d9cfe836ed62ce0f7edd8be6d',
+    ('dense_instance', 8, 0.6, 2): 'cc8939b4e7c3868495350280ffdab1250bf9836c9fb985bb95119db8d5d24bf1',
+    ('dense_instance', 8, 0.6, 3): '3fbdda30a0d6ee1f77c1530fa9f985c4d2cee179452e817377cf4c9864411d02',
     ('dense_instance', 10, 0.5, 0): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
     ('dense_instance', 10, 0.5, 1): 'ac2bf1870beed30cb4e035b74ed1acf432ddb71b4344116c6ac2c6d3ba052e1e',
     ('dense_instance', 10, 0.5, 2): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
@@ -295,6 +304,9 @@ ORACLE_CYCLE = {
     ('dense_instance', 16, 0.7, 1): '1ba2d0558062e7120cb2681b810bb82a48261a06354ae7c5d6920e4c87faaca2',
     ('dense_instance', 16, 0.7, 2): '4f74b03fdf028e80db4bc5dd869141e3bb30323f511c292b7904a6e71edc774d',
     ('dense_instance', 16, 0.7, 3): 'eee318726fd9aba2c1828985146a62ddae31fe1fab25e521fbaf610d5817fa2b',
+    ('dense_instance', 18, 0.5, 0): '91766e7faaa708dfb9ef794310c50a6df55f5042eeb15535675b5a9e50de7b59',
+    ('dense_instance', 18, 0.5, 1): 'f89565a728b932637abdee5bdcaec9941e98f54d47fa2ab47444203c4ead9a23',
+    ('dense_instance', 18, 0.5, 2): '1d245ccaf378603e74786bef65af00be1618ba3f958a0a4c645b4736895b832b',
     ('pikhurko', 8): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
     ('pikhurko', 12): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
     ('pikhurko', 16): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',

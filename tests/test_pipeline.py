@@ -15,6 +15,7 @@ from hypersquare import (
     certify_hamiltonian,
     complete,
     construct_squared_hamiltonian,
+    dense_instance,
     is_k4,
     oracle_has_perfect_k4_tiling,
     oracle_has_squared_hamiltonian,
@@ -22,6 +23,8 @@ from hypersquare import (
     random_hypergraph,
     threshold_probe,
 )
+from hypersquare import pipeline
+from hypersquare.core import bits_of
 from hypersquare.pipeline import _k4_adjacency
 from conftest import brute_has_hamiltonian
 
@@ -73,19 +76,77 @@ class TestConstruct:
         assert a.cycle == b.cycle
 
 
+def brute_k4_adjacency(h: Hypergraph3) -> list[int]:
+    """adj[u] = bitset of the vertices sharing a tetrahedron with u, from
+    every 4-set of vertices."""
+    edges = set(h.iter_edges())
+    adj = [0] * h.n
+    for quad in itertools.combinations(range(h.n), 4):
+        if all(t in edges for t in itertools.combinations(quad, 3)):
+            for u, v in itertools.combinations(quad, 2):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def reference_cycle_oracle(h: Hypergraph3):
+    """(status, witness) of the cycle search with the closing-vertex and
+    window prunes only, with no deadline or memo cap and the tetrahedron
+    adjacency taken from every 4-set.  It visits heads and children in the
+    oracle's order, so the first witness must agree as well as the verdict.
+    """
+    n, pn = h.n, h._pn
+    k4adj = brute_k4_adjacency(h)
+    need = min(6, n - 1)
+    if any(a.bit_count() < need for a in k4adj):
+        return "no", None
+    full = h.full_mask
+    for v1 in range(1, n):
+        for v2 in bits_of(pn[0][v1] & ~0b1 & ~(1 << v1)):
+            head = 1 | (1 << v1) | (1 << v2)
+            k4_head = pn[0][v1] & pn[0][v2] & pn[v1][v2]
+            close = k4_head & ~((2 << v1) - 1)
+            failed = set()
+            order = [0, v1, v2]
+
+            def rec(used, p, q, r, cands, depth):
+                key = (used, p, q, r)
+                if key in failed:
+                    return False
+                unused = full & ~used
+                scope = unused | (1 << p) | (1 << q) | (1 << r) | head
+                if any((k4adj[u] & scope).bit_count() < need for u in bits_of(unused)):
+                    cands = 0
+                row_q, row_r = pn[q], pn[r]
+                depth += 1
+                for u in bits_of(cands):
+                    nxt = row_q[r] & row_q[u] & row_r[u]
+                    if depth == n:
+                        if nxt & (row_r[u] >> v1) & (row_r[0] >> v1) & 1:
+                            order.append(u)
+                            return True
+                        continue
+                    used_u = used | (1 << u)
+                    nxt &= ~used_u
+                    if nxt and close & ~used_u:
+                        order.append(u)
+                        if rec(used_u, q, r, u, nxt, depth):
+                            return True
+                        order.pop()
+                failed.add(key)
+                return False
+
+            if close and rec(head, 0, v1, v2, k4_head & ~head, 3):
+                return "yes", tuple(order)
+    return "no", None
+
+
 class TestK4Adjacency:
     @settings(max_examples=60)
     @given(st.integers(0, 10), st.floats(0.0, 1.0), st.integers(0, 10**6))
     def test_matches_brute_force(self, n, p, seed):
         h = random_hypergraph(n, p, seed)
-        edges = set(h.iter_edges())
-        want = [0] * n
-        for quad in itertools.combinations(range(n), 4):
-            if all(t in edges for t in itertools.combinations(quad, 3)):
-                for u, v in itertools.combinations(quad, 2):
-                    want[u] |= 1 << v
-                    want[v] |= 1 << u
-        assert _k4_adjacency(h) == want
+        assert _k4_adjacency(h) == brute_k4_adjacency(h)
 
 
 class TestCycleOracle:
@@ -140,6 +201,39 @@ class TestCycleOracle:
                         assert certify_hamiltonian(h, res.witness)
         assert deficient
 
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_closing_tails_match_reference(self, n, monkeypatch):
+        # dense instances cross the closing-pair cap in both directions and
+        # n = 5, 6, 7 straddles the size where the tail first fits off the
+        # head; sparse random ones have few tails, and some heads none
+        closing_tails = pipeline._closing_tails
+        listed = []  # per listed head: its number of tails, None over the cap
+
+        def listing(*args):
+            tails = closing_tails(*args)
+            listed.append(None if tails is None else tails[0].bit_count())
+            return tails
+
+        monkeypatch.setattr(pipeline, "_closing_tails", listing)
+        instances = [
+            dense_instance(n, f, seed) for f in (0.4, 0.5, 0.6, 0.7, 0.8) for seed in range(6)
+        ]
+        instances += [
+            random_hypergraph(n, p, 100 * n + seed) for p in (0.5, 0.7) for seed in range(10)
+        ]
+        for h in instances:
+            res = oracle_has_squared_hamiltonian(h, time_limit=None)
+            witness = res.witness.vertices if res.witness is not None else None
+            assert (res.status, witness) == reference_cycle_oracle(h)
+        # tails are listed from n = 7, some heads have none and, from n = 9,
+        # some have more closing pairs than the cap
+        if n < 7:
+            assert not listed
+        else:
+            assert 0 in listed and any(listed)
+        if n >= 9:
+            assert None in listed
+
     def test_planted_cycle_found(self):
         # the square of a relabelled Hamiltonian cycle, plus a few random
         # edges: each vertex shares a tetrahedron with barely more than its
@@ -164,7 +258,8 @@ class TestCycleOracle:
     def test_timeout_outcome(self):
         res = oracle_has_squared_hamiltonian(complete(14), time_limit=0.0)
         assert res.status in ("timeout", "yes")  # precheck may answer instantly
-        # pikhurko(20) has no such cycle, and refuting it takes seconds
+        # pikhurko(20) has no such cycle, and refuting it visits about
+        # 530,000 search states, far past the deadline's first clock read
         res2 = oracle_has_squared_hamiltonian(pikhurko(20)[0], time_limit=0.0)
         assert res2.status == "timeout"
 
