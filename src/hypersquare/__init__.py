@@ -73,7 +73,6 @@ from .pipeline import (
 from .tiling import (
     AlmostK4Factor,
     CoverResult,
-    GoodPairOracle,
     Tiling,
     almost_k4_factor,
     classify_pairs,

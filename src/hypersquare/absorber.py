@@ -31,10 +31,14 @@ class PathConstructionError(RuntimeError):
 
 
 class AbsorptionError(RuntimeError):
-    """Some vertex had no unused absorber tuple left."""
+    """Some vertex had no unused absorber tuple left; the message says
+    whether any tuple of the family absorbs it at all."""
 
-    def __init__(self, vertex: int):
-        super().__init__(f"no unused absorber available for vertex {vertex}")
+    def __init__(self, vertex: int, absorbable: bool = True):
+        if absorbable:
+            super().__init__(f"no unused absorber available for vertex {vertex}")
+        else:
+            super().__init__(f"no tuple of the family absorbs vertex {vertex}")
         self.vertex = vertex
 
 
@@ -122,9 +126,9 @@ class AbsorberFamily:
 
     def truncated(self, k: int) -> "AbsorberFamily":
         """The family of the first k tuples.  It equals
-        build_absorber_family(..., min_tuples=k, max_tuples=k) for any k up to
-        len(tuples) of a build with the same hypergraph, reservoir and
-        config: each pick depends only on the tuples chosen before it."""
+        build_absorber_family(..., size=k) for any k up to len(tuples) of a
+        build with the same hypergraph, reservoir and config: each pick
+        depends only on the tuples chosen before it."""
         return AbsorberFamily(
             self.tuples[:k], self.absorbable[:k], self.coverage_target, self.n
         )
@@ -149,22 +153,20 @@ def build_absorber_family(
     h: Hypergraph3,
     r: Reservoir,
     cfg: Config,
-    min_tuples: int | None = None,
-    max_tuples: int | None = None,
+    size: int | None = None,
 ) -> AbsorberFamily:
     """Greedy family selection, lowest-coverage vertex first.
 
-    Stops once every vertex owns at least max(1, ceil(2 * theta_star**2 * n))
-    absorbers, or earlier when no disjoint tuple can be added.  ``min_tuples``
-    keeps the loop adding tuples past the coverage target and ``max_tuples``
-    cuts it off early; the end-to-end construction uses them to balance
-    absorption capacity against the room its joins and cover need.  The
-    degraded flag records a missed coverage target; it is a report, not an
-    error.
+    Unsized, the build stops once every vertex owns at least
+    max(1, ceil(2 * theta_star**2 * n)) absorbers.  Sized, it adds tuples
+    past that coverage target until it holds ``size`` of them; the
+    end-to-end construction uses this to balance absorption capacity against
+    the room its joins and cover need.  Either way it stops early when no
+    disjoint tuple can be added.  The degraded flag records a missed
+    coverage target; it is a report, not an error.
     """
     n = h.n
     target = max(1, math.ceil(2 * cfg.theta_star**2 * n))
-    goal = min_tuples if min_tuples is not None else 0
     selected: list[tuple[int, ...]] = []
     absorbable: list[int] = []
     occupied = r.members
@@ -174,12 +176,12 @@ def build_absorber_family(
     blocked = 0
 
     while True:
-        if max_tuples is not None and len(selected) >= max_tuples:
+        if size is not None and len(selected) >= size:
             break
         # lowest coverage first, ties to the lowest id; a vertex at the
-        # target is picked only while the family is short of min_tuples
+        # target is picked only by a sized build
         k = next((k for k, level in enumerate(levels) if level & ~blocked), None)
-        if k is None or (k >= target and len(selected) >= goal):
+        if k is None or (k >= target and size is None):
             break
         low = levels[k] & ~blocked
         pick = (low & -low).bit_length() - 1
@@ -285,7 +287,7 @@ def absorb(h: Hypergraph3, pa: VertexSeq, fam: AbsorberFamily, x) -> VertexSeq:
         v = min(bits_of(remaining), key=lambda u: (absorbers[u] & free).bit_count())
         options = absorbers[v] & free
         if not options:
-            raise AbsorptionError(v)
+            raise AbsorptionError(v, absorbable=bool(absorbers[v]))
         remaining &= ~(1 << v)
         choice = min(bits_of(options), key=demand)
         free &= ~(1 << choice)

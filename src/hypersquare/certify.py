@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .core import Hypergraph3, ParseError
+from .core import Hypergraph3, ParseError, is_k4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,17 +43,6 @@ class VertexSeq:
         vs = self.vertices
         k %= len(vs)
         return VertexSeq(vs[k:] + vs[:k], self.closed)
-
-
-def _window_ok(h: Hypergraph3, a: int, b: int, c: int, d: int) -> bool:
-    # all four 3-subsets of the window must be edges; has_edge is total, so
-    # a repeated vertex inside the window simply fails
-    return (
-        h.has_edge(a, b, c)
-        and h.has_edge(a, b, d)
-        and h.has_edge(a, c, d)
-        and h.has_edge(b, c, d)
-    )
 
 
 def is_squared_path(h: Hypergraph3, s: VertexSeq) -> bool:
@@ -95,7 +84,7 @@ def is_squared_walk(h: Hypergraph3, s: VertexSeq) -> bool:
     if len(vs) == 3:
         return h.has_edge(*vs)
     return all(
-        _window_ok(h, vs[i], vs[i + 1], vs[i + 2], vs[i + 3])
+        is_k4(h, vs[i], vs[i + 1], vs[i + 2], vs[i + 3])
         for i in range(len(vs) - 3)
     )
 

@@ -264,7 +264,7 @@ def _cmd_absorb(args, argv) -> int:
     h = complete(args.n)
     cfg = _config_from(args)
     reservoir = sample_reservoir(h, cfg)
-    fam = build_absorber_family(h, reservoir, cfg, min_tuples=2)
+    fam = build_absorber_family(h, reservoir, cfg)
     pa = build_absorbing_path(h, fam, reservoir, cfg)
     outside = sorted(
         set(range(args.n)) - set(pa.vertices) - set(bits_of(reservoir.members))

@@ -329,9 +329,9 @@ def min_pair_degree(h: Hypergraph3) -> int:
 
 
 def is_k4(h: Hypergraph3, w: int, x: int, y: int, z: int) -> bool:
-    """True iff the four vertices are distinct and span a tetrahedron."""
-    if len({w, x, y, z}) != 4:
-        return False
+    """True iff the four vertices are distinct and span a tetrahedron.  A
+    repeat lies in some triple, where has_edge is False, so distinctness
+    needs no test of its own."""
     return (
         h.has_edge(w, x, y)
         and h.has_edge(w, x, z)

@@ -225,8 +225,8 @@ def dense_random(n: int, delta2_target: float, seed: int) -> Hypergraph3:
         raise ValueError(
             f"target pair degree {required} unreachable with n={n} (max {n - 2})"
         )
-    rng = random.Random(seed)
-    return _repair_to_pair_degree(n, required, delta2_target, rng)
+    # the target is feasible, so dense_instance does not clamp it
+    return dense_instance(n, delta2_target, seed)
 
 
 def dense_instance(n: int, fraction: float, seed: int) -> Hypergraph3:

@@ -79,7 +79,7 @@ def _attempt_construction(h: Hypergraph3, cfg: Config, stats: dict) -> VertexSeq
     # is the first k tuples of the largest one, so it is built once.
     t0 = time.perf_counter()
     size = max(1, (n - reservoir.member_count) // 6)
-    largest = build_absorber_family(h, reservoir, cfg, min_tuples=size, max_tuples=size)
+    largest = build_absorber_family(h, reservoir, cfg, size=size)
     if not largest.tuples:
         raise _StageFailure("absorber_family", "no absorber tuples found")
     join_error = None

@@ -35,22 +35,9 @@ DONATE_LOSS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class GoodPairOracle:
-    """Exact classification of vertex pairs against a pair-degree threshold."""
-
-    threshold: int
-    bad_mask: tuple[int, ...]
-
-    def is_good(self, u: int, v: int) -> bool:
-        return not (self.bad_mask[u] >> v) & 1
-
-    def bad_count(self, v: int, within: int) -> int:
-        return (self.bad_mask[v] & within).bit_count()
-
-
-def classify_pairs(h: Hypergraph3, threshold: int) -> GoodPairOracle:
-    """Pairs with degree below the threshold are bad, the rest good."""
+def classify_pairs(h: Hypergraph3, threshold: int) -> tuple[int, ...]:
+    """Pairs with degree below the threshold are bad, the rest good.  Row v
+    of the result is the bitset of the vertices u with uv bad."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     mask = [0] * h.n
@@ -60,10 +47,10 @@ def classify_pairs(h: Hypergraph3, threshold: int) -> GoodPairOracle:
             if pn[u][v].bit_count() < threshold:
                 mask[u] |= 1 << v
                 mask[v] |= 1 << u
-    return GoodPairOracle(threshold, tuple(mask))
+    return tuple(mask)
 
 
-def prune_bad_vertices(h: Hypergraph3, tau: float, oracle: GoodPairOracle) -> frozenset[int]:
+def prune_bad_vertices(h: Hypergraph3, tau: float, bad: tuple[int, ...]) -> frozenset[int]:
     """Iteratively drop the vertex in the most bad pairs while some vertex
     sits in at least sqrt(tau) * n of them; every survivor then has fewer."""
     if not 0.0 < tau < 1.0:
@@ -73,7 +60,7 @@ def prune_bad_vertices(h: Hypergraph3, tau: float, oracle: GoodPairOracle) -> fr
     while alive:
         worst, worst_cnt = -1, -1
         for v in bits_of(alive):
-            cnt = oracle.bad_count(v, alive)
+            cnt = (bad[v] & alive).bit_count()
             if cnt > worst_cnt:
                 worst, worst_cnt = v, cnt
         if worst_cnt < limit:
@@ -93,11 +80,11 @@ class Tiling:
         return sum(WEIGHTS[len(t)] for t in self.tiles)
 
 
-def _tile_ok(h: Hypergraph3, oracle: GoodPairOracle, vs: tuple[int, ...]) -> bool:
+def _tile_ok(h: Hypergraph3, bad: tuple[int, ...], vs: tuple[int, ...]) -> bool:
     """Good and complete: no bad pair, and all triples present (vacuous for
     pairs)."""
     for a, b in itertools.combinations(vs, 2):
-        if not oracle.is_good(a, b):
+        if (bad[a] >> b) & 1:
             return False
     for t in itertools.combinations(vs, 3):
         if not h.has_edge(*t):
@@ -105,9 +92,9 @@ def _tile_ok(h: Hypergraph3, oracle: GoodPairOracle, vs: tuple[int, ...]) -> boo
     return True
 
 
-def _good_masks(oracle: GoodPairOracle, domain: int) -> list[int]:
+def _good_masks(bad: tuple[int, ...], domain: int) -> list[int]:
     """Row v: the domain vertices other than v that form a good pair with v."""
-    return [domain & ~bad & ~(1 << v) for v, bad in enumerate(oracle.bad_mask)]
+    return [domain & ~row & ~(1 << v) for v, row in enumerate(bad)]
 
 
 def _grow_mask(h: Hypergraph3, good: list[int], t: tuple[int, ...]) -> int:
@@ -203,14 +190,14 @@ def _apply_split(tiles: list[tuple[int, ...]], grow: list[int]) -> bool:
     return True
 
 
-def _local_search(h: Hypergraph3, domain: list[int], oracle: GoodPairOracle, order: list[int]) -> Tiling:
+def _local_search(h: Hypergraph3, domain: list[int], bad: tuple[int, ...], order: list[int]) -> Tiling:
     """One run: greedy good-pair matching in the given vertex order, then
     improving moves until none fires.  The tile list, sorted tuples in
     creation order, is the run's only state; each round derives every
     tile's grow mask and the free mask from it.  The weight rises by at
     least 1 per move and is bounded by 11n/4, so the loop terminates."""
     dom = mask_of(domain)
-    good = _good_masks(oracle, dom)
+    good = _good_masks(bad, dom)
     tiles: list[tuple[int, ...]] = []
     unmatched = list(order)
     while len(unmatched) >= 2:
@@ -242,7 +229,7 @@ def _local_search(h: Hypergraph3, domain: list[int], oracle: GoodPairOracle, ord
 def weighted_tiling(
     h: Hypergraph3,
     domain,
-    oracle: GoodPairOracle,
+    bad: tuple[int, ...],
     seed: int | None = None,
 ) -> Tiling:
     """Best local optimum over several starts of the exchange-move search.
@@ -264,12 +251,12 @@ def weighted_tiling(
         if k > 0 or seed is not None:
             perm = shuffled_range(len(domain), derive_seed(base, "tiling-restart", k))
             order = [domain[i] for i in perm]
-        til = _local_search(h, domain, oracle, order)
+        til = _local_search(h, domain, bad, order)
         if best is None or til.weight > best.weight:
             best = til
     assert best is not None
     for t in best.tiles:
-        if not _tile_ok(h, oracle, t):
+        if not _tile_ok(h, bad, t):
             raise AssertionError(f"tile {t} is not a good tile")
     seen: set[int] = set()
     for t in best.tiles:
@@ -299,9 +286,9 @@ def almost_k4_factor(h: Hypergraph3, cfg: Config) -> AlmostK4Factor:
     keep the size-4 tiles.  The leftover bound 2 sqrt(tau) n + 14 is reported
     rather than enforced; below roughly 36 vertices it regularly fails."""
     threshold = math.ceil((0.75 + cfg.alpha) * h.n)
-    oracle = classify_pairs(h, threshold)
-    survivors = prune_bad_vertices(h, cfg.tau, oracle)
-    til = weighted_tiling(h, survivors, oracle, seed=derive_seed(cfg.seed, "tiling"))
+    bad = classify_pairs(h, threshold)
+    survivors = prune_bad_vertices(h, cfg.tau, bad)
+    til = weighted_tiling(h, survivors, bad, seed=derive_seed(cfg.seed, "tiling"))
     k4s = [t for t in til.tiles if len(t) == 4]
     covered = {v for t in k4s for v in t}
     leftover = frozenset(v for v in range(h.n) if v not in covered)

@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from hypersquare import Hypergraph3, VertexSeq, certify_hamiltonian
-from hypersquare.tiling import WEIGHTS, GoodPairOracle
+from hypersquare.tiling import WEIGHTS
 
 
 def brute_squared_path(h: Hypergraph3, vertices) -> bool:
@@ -51,13 +51,14 @@ def brute_walk_count(adj: dict[int, set[int]], x: int, y: int, s: int) -> int:
     return total
 
 
-def exhaustive_tiling_weight(h: Hypergraph3, domain, oracle: GoodPairOracle) -> int:
-    """Maximum weight over all tilings by good complete tiles of size 2-4."""
+def exhaustive_tiling_weight(h: Hypergraph3, domain, bad: tuple[int, ...]) -> int:
+    """Maximum weight over all tilings by good complete tiles of size 2-4;
+    bad[u] holds the v with uv a bad pair."""
     edges = set(h.iter_edges())
 
     def tile_ok(tile) -> bool:
         for a, b in itertools.combinations(tile, 2):
-            if not oracle.is_good(a, b):
+            if (bad[a] >> b) & 1:
                 return False
         return all(
             tuple(sorted(t)) in edges for t in itertools.combinations(tile, 3)

@@ -169,7 +169,7 @@ class TestFamily:
         cfg = Config(theta_star=theta_star, seed=seed)
         r = sample_reservoir(h, cfg)
         size = max(1, (n - r.member_count) // 6) if sized else None
-        fam = build_absorber_family(h, r, cfg, min_tuples=size, max_tuples=size)
+        fam = build_absorber_family(h, r, cfg, size=size)
         tuples, seen = reference_family(h, r, cfg, min_tuples=size, max_tuples=size)
         assert fam.tuples == tuples
         assert seen == events
@@ -189,8 +189,24 @@ class TestFamily:
         cfg = Config(seed=1)
         r = sample_reservoir(h, cfg)
         size = max(1, (n - r.member_count) // 6) if sized else None
-        build_absorber_family(h, r, cfg, min_tuples=size, max_tuples=size)
+        build_absorber_family(h, r, cfg, size=size)
         assert empty and max(empty.values()) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(7, 40),
+        st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.7, 0.9]),
+        st.integers(0, 5),
+    )
+    def test_unsized_on_complete_needs_no_floor(self, n, theta_star, seed):
+        # absorb --demo builds an unsized family on complete(n).  A floor of
+        # two tuples never binds there: a tuple does not absorb its own six
+        # vertices, and once those are blocked every vertex is.
+        h = complete(n)
+        cfg = Config(theta_star=theta_star, seed=seed)
+        r = sample_reservoir(h, cfg)
+        fam = build_absorber_family(h, r, cfg)
+        assert fam.tuples == reference_family(h, r, cfg, min_tuples=2)[0]
 
     def test_complete40_coverage(self):
         h = complete(40)
@@ -218,7 +234,7 @@ class TestFamily:
     def test_tuples_disjoint_and_valid(self):
         h = random_hypergraph(24, 0.95, seed=31)
         cfg = Config(seed=2)
-        fam = build_absorber_family(h, Reservoir(members=0), cfg, min_tuples=3)
+        fam = build_absorber_family(h, Reservoir(members=0), cfg)
         seen = set()
         for t in fam.tuples:
             assert len(set(t)) == 6
@@ -230,20 +246,21 @@ class TestFamily:
         h = complete(30)
         cfg = Config(seed=3)
         r = Reservoir(members=mask_of(range(24, 30)))
-        fam = build_absorber_family(h, r, cfg, min_tuples=4)
+        fam = build_absorber_family(h, r, cfg, size=4)
         assert not (fam.vertex_mask & r.members)
 
-    def test_min_tuples_extends_family(self):
+    def test_size_extends_family(self):
         h = complete(36)
         cfg = Config(seed=1)
         small = build_absorber_family(h, Reservoir(members=0), cfg)
-        large = build_absorber_family(h, Reservoir(members=0), cfg, min_tuples=5)
-        assert len(large.tuples) >= 5 >= len(small.tuples)
+        large = build_absorber_family(h, Reservoir(members=0), cfg, size=5)
+        assert len(large.tuples) == 5 > len(small.tuples)
+        assert large.tuples[: len(small.tuples)] == small.tuples
 
     def test_per_vertex_index_correct(self):
         h = complete(24)
         cfg = Config(seed=6)
-        fam = build_absorber_family(h, Reservoir(members=0), cfg, min_tuples=3)
+        fam = build_absorber_family(h, Reservoir(members=0), cfg, size=3)
         for v in range(24):
             for i, t in enumerate(fam.tuples):
                 expected = is_v_absorber(h, v, t)
@@ -269,7 +286,7 @@ class TestAbsorbableMask:
     def test_family_masks_match_tuples(self):
         h = random_hypergraph(30, 0.95, seed=5)
         cfg = Config(seed=3)
-        fam = build_absorber_family(h, Reservoir(members=0), cfg, min_tuples=4)
+        fam = build_absorber_family(h, Reservoir(members=0), cfg)
         assert fam.absorbable == [absorbable_mask(h, t) for t in fam.tuples]
 
 
@@ -287,11 +304,11 @@ class TestTruncatedFamily:
         cfg = Config(theta_star=theta_star, seed=cfg_seed)
         r = sample_reservoir(h, cfg)
         size = max(1, (n - r.member_count) // 6)
-        largest = build_absorber_family(h, r, cfg, min_tuples=size, max_tuples=size)
+        largest = build_absorber_family(h, r, cfg, size=size)
         assert largest.truncated(len(largest.tuples)) == largest
         for k in range(1, len(largest.tuples) + 1):
             cut = largest.truncated(k)
-            fresh = build_absorber_family(h, r, cfg, min_tuples=k, max_tuples=k)
+            fresh = build_absorber_family(h, r, cfg, size=k)
             assert cut == fresh
             assert cut.degraded == fresh.degraded
 
@@ -301,7 +318,7 @@ class TestAbsorbingPath:
         h = complete(40)
         cfg = Config(seed=7)
         r = Reservoir(members=0)
-        fam = build_absorber_family(h, r, cfg, min_tuples=3).truncated(3)
+        fam = build_absorber_family(h, r, cfg, size=3)
         pa = build_absorbing_path(h, fam, r, cfg)
         # complete case joins directly, so exactly 18 vertices
         assert len(pa) == 18
@@ -332,7 +349,7 @@ class TestAbsorbingPath:
         right = [tuple(v + 8 for v in e) for e in complete(8).iter_edges()]
         h = Hypergraph3(16, list(left) + list(right))
         cfg = Config(cap_m=4)
-        fam = build_absorber_family(h, Reservoir(members=0), cfg, min_tuples=2)
+        fam = build_absorber_family(h, Reservoir(members=0), cfg)
         assert len(fam.tuples) >= 2
         comp = lambda t: 0 if t[0] < 8 else 1
         if len({comp(t) for t in fam.tuples[:2]}) == 1:
@@ -349,7 +366,7 @@ class TestAbsorbingPath:
         h = complete(40)
         cfg = Config(seed=9)
         r = Reservoir(members=mask_of(range(34, 40)))
-        fam = build_absorber_family(h, r, cfg, min_tuples=4)
+        fam = build_absorber_family(h, r, cfg, size=4)
         pa = build_absorbing_path(h, fam, r, cfg)
         assert not (mask_of(pa.vertices) & r.members)
 
@@ -394,7 +411,7 @@ class TestAbsorb:
             h = dense_random(30, 0.85, seed)
             cfg = Config(seed=seed)
             r = Reservoir(members=0)
-            fam = build_absorber_family(h, r, cfg, min_tuples=3, max_tuples=3)
+            fam = build_absorber_family(h, r, cfg, size=3)
             try:
                 pa = build_absorbing_path(h, fam, r, cfg)
             except PathConstructionError:
@@ -417,7 +434,7 @@ class TestAbsorb:
         h = complete(n)
         cfg = Config(seed=seed)
         r = Reservoir(members=0)
-        fam = build_absorber_family(h, r, cfg, min_tuples=tuples).truncated(tuples)
+        fam = build_absorber_family(h, r, cfg, size=tuples)
         pa = build_absorbing_path(h, fam, r, cfg)
         return h, fam, pa
 
@@ -437,9 +454,21 @@ class TestAbsorb:
     def test_too_many_vertices(self):
         h, fam, pa = self._setup()
         outside = sorted(set(range(20)) - set(pa.vertices))[:3]
-        with pytest.raises(AbsorptionError) as err:
+        # every tuple absorbs every outside vertex, and all are used
+        with pytest.raises(AbsorptionError, match="^no unused absorber available") as err:
             absorb(h, pa, fam, outside)
         assert err.value.vertex in outside
+
+    def test_error_when_no_tuple_absorbs_the_vertex(self):
+        # vertex 19 lies in no edge, so no tuple absorbs it
+        h = Hypergraph3(20, list(complete(19).iter_edges()))
+        cfg = Config(seed=10)
+        r = Reservoir(members=0)
+        fam = build_absorber_family(h, r, cfg, size=2)
+        pa = build_absorbing_path(h, fam, r, cfg)
+        with pytest.raises(AbsorptionError, match="^no tuple of the family absorbs vertex 19$") as err:
+            absorb(h, pa, fam, [19])
+        assert err.value.vertex == 19
 
     def test_on_path_vertex_rejected(self):
         h, fam, pa = self._setup()

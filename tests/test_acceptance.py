@@ -116,7 +116,7 @@ def test_criterion_3_soundness_sweep():
             if not (len(s) == q and is_squared_path(h, s)):
                 violations += 1
 
-        fam = build_absorber_family(h, Reservoir(members=0), cfg, min_tuples=1)
+        fam = build_absorber_family(h, Reservoir(members=0), cfg)
         if fam.tuples:
             try:
                 pa = build_absorbing_path(h, fam, Reservoir(members=0), cfg)
@@ -230,9 +230,9 @@ def test_criterion_7_tiling_optimality():
         n = rng.randint(4, 7)
         p = rng.choice([0.3, 0.5, 0.7, 0.9])
         h = random_hypergraph(n, p, seed=derive_seed(MASTER_SEED, "tile", trial))
-        oracle = classify_pairs(h, rng.choice([0, 1, 2]))
-        got = weighted_tiling(h, range(n), oracle, seed=trial).weight
-        want = exhaustive_tiling_weight(h, range(n), oracle)
+        bad = classify_pairs(h, rng.choice([0, 1, 2]))
+        got = weighted_tiling(h, range(n), bad, seed=trial).weight
+        want = exhaustive_tiling_weight(h, range(n), bad)
         assert got == want, f"trial {trial}: weight {got} != optimum {want}"
     k12 = complete(12)
     assert weighted_tiling(k12, range(12), classify_pairs(k12, 0)).weight == 33

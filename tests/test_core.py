@@ -366,6 +366,23 @@ class TestK4:
             vals = {is_k4(h, *perm) for perm in itertools.permutations(quad)}
             assert len(vals) == 1
 
+    @pytest.mark.parametrize(
+        "h",
+        [complete(6), pikhurko(8)[0], random_instance(7, 0.6, seed=11)],
+        ids=["complete6", "pikhurko8", "random7"],
+    )
+    def test_matches_definition_on_every_quadruple(self, h):
+        edges = set(h.iter_edges())
+        found = 0
+        # out-of-range vertices and repeats included
+        for quad in itertools.product(range(-1, h.n + 1), repeat=4):
+            expected = len(set(quad)) == 4 and all(
+                tuple(sorted(t)) in edges for t in itertools.combinations(quad, 3)
+            )
+            assert is_k4(h, *quad) == expected
+            found += expected
+        assert found
+
 
 class TestConfig:
     def test_defaults_valid(self):

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypersquare import (
     complete,
@@ -207,6 +209,28 @@ class TestDenseRandom:
 
     def test_deterministic(self):
         assert dense_random(12, 0.8, seed=7) == dense_random(12, 0.8, seed=7)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(0, 10**6))
+    def test_equals_dense_instance_wherever_accepted(self, data, seed):
+        # draw the target degree k = ceil(d n) first, so every feasible
+        # target from 1 to n - 2 is reached
+        n = data.draw(st.integers(3, 60))
+        k = data.draw(st.integers(1, n - 2))
+        d = data.draw(st.floats((k - 1) / n, k / n, exclude_min=True))
+        assume(math.ceil(d * n) <= n - 2)
+        assert dense_random(n, d, seed) == dense_instance(n, d, seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 60),
+        st.one_of(st.floats(0, 1), st.floats()),
+        st.integers(0, 10**6),
+    )
+    def test_raises_outside_its_domain(self, n, d, seed):
+        assume(not (0.0 < d < 1.0 and math.ceil(d * n) <= n - 2))
+        with pytest.raises(ValueError):
+            dense_random(n, d, seed)
 
 
 class TestDenseInstance:

@@ -114,7 +114,8 @@ PIKHURKO = {
 # dense_random(n, delta2_target, instance seed) -> (outcome, stage, attempts,
 # family_size, sha256 of the cycle, the failure detail and the STAT_KEYS
 # entries of the stats).  The n <= 50 cells all hit join failures that shrink
-# the family.
+# the family.  Both absorb failures name a vertex that no tuple of the family
+# absorbs, and their details say so.
 CONSTRUCT = {
     (60, 0.9, 1, 0.3, 0): ('cycle', None, 1, 8, '955db32d6a75bf1d794e20462c98fd89dc5e38ed24bc50d691d9f042afa7ccd3'),
     (60, 0.9, 1, 0.3, 1): ('cycle', None, 1, 8, 'f094d2598c56cff9e319fd1d10dd7f7f7ed48c4d418c27ab5390a3d40109fdf2'),
@@ -122,12 +123,12 @@ CONSTRUCT = {
     (100, 0.9, 2, 0.3, 3): ('cycle', None, 1, 14, 'da1bd402ec1d16725d2416448b9623b80889e1fc0b2b52337f6c8465debb9478'),
     (150, 0.9, 1, 0.3, 0): ('cycle', None, 1, 21, 'a42e7a8ab4562b95eabf373038a0731527205a0e593cc8587d51df8926ed0004'),
     (150, 0.9, 1, 0.3, 5): ('cycle', None, 1, 21, '3d586f55d89d3a922e0c524f441f196e20e075d618b416d2d649503c8d21183e'),
-    (30, 0.8, 0, 0.15, 0): ('failure', 'absorb', 3, 3, '42614d2ff8d8aec700224e3f0b02e540cd192704b9ee72fb008fb99c29e6ba19'),
+    (30, 0.8, 0, 0.15, 0): ('failure', 'absorb', 3, 3, '210d1d9e3f803c761f4a695069d72b468ba2de9f36ceb73c75432d0ac44ee858'),
     (30, 0.85, 0, 0.15, 0): ('cycle', None, 3, 4, '3410bada39242c59a452aaac7d4e12f804d96d40dea8b0491c6664bafe6ada90'),
     (40, 0.8, 5, 0.3, 5): ('cycle', None, 3, 5, 'c56f059b5f5edfa93908326c6d11c3bf9c7d27347aee9ed324891d552d3c7d3a'),
     (50, 0.8, 0, 0.3, 0): ('failure', 'connect', 3, 5, 'c4532b3f9ee9db71792cd8e33702f64d6b1113953b6ea98ee3e22c8f26db6415'),
     (50, 0.8, 1, 0.15, 1): ('cycle', None, 3, 7, '98409882e5fb686b1b6a505234ba6f6884d1b53d99abd70ab13b7072d01fda0d'),
-    (50, 0.8, 2, 0.3, 2): ('failure', 'absorb', 3, 6, '9d5c18a0f60a731efafc974e52ac435578c33540dd129976e3eeb1e5b159e0d4'),
+    (50, 0.8, 2, 0.3, 2): ('failure', 'absorb', 3, 6, '08adc36fbf5aa01cb3a4aa9e0c7a4fd69f08e3c05842dc71a6067e9736ba4123'),
     (50, 0.85, 2, 0.15, 2): ('cycle', None, 3, 7, '94f30edbb9dea1f177f861b0c9c85addff43f52eb0b5fc445611502335c99cc1'),
 }
 

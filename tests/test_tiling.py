@@ -24,7 +24,6 @@ from hypersquare import (
 from hypersquare.core import bits_of, mask_of
 from hypersquare.tiling import (
     WEIGHTS,
-    GoodPairOracle,
     _apply_new_pair,
     _apply_split,
     _good_masks,
@@ -99,9 +98,9 @@ def assert_cover_matches_reference(h, q, mu, seed, domain):
     )
 
 
-def bad_pairs(oracle, n):
-    """The bad pairs u < v, read off the oracle's bad masks."""
-    return {(u, v) for u in range(n) for v in bits_of(oracle.bad_mask[u]) if u < v}
+def bad_pairs(bad, n):
+    """The bad pairs u < v, read off the bad-pair rows."""
+    return {(u, v) for u in range(n) for v in bits_of(bad[u]) if u < v}
 
 
 class TestClassifyPairs:
@@ -109,35 +108,34 @@ class TestClassifyPairs:
         assert bad_pairs(classify_pairs(complete(8), 6), 8) == set()
 
     def test_complete8_threshold7(self):
-        oracle = classify_pairs(complete(8), 7)
-        assert len(bad_pairs(oracle, 8)) == 28
+        assert len(bad_pairs(classify_pairs(complete(8), 7), 8)) == 28
 
     def test_pikhurko8_threshold5(self, pik8):
         h, _ = pik8
-        oracle = classify_pairs(h, 5)
+        bad = classify_pairs(h, 5)
         expected = {
             (u, v)
             for u in range(8)
             for v in range(u + 1, 8)
             if pair_degree(h, u, v) == 4
         }
-        assert bad_pairs(oracle, 8) == expected
+        assert bad_pairs(bad, 8) == expected
         assert expected  # the construction really has degree-4 pairs
 
     def test_masks_match_set(self):
         h = random_hypergraph(9, 0.5, seed=40)
-        oracle = classify_pairs(h, 3)
-        bad = bad_pairs(oracle, 9)
+        rows = classify_pairs(h, 3)
+        bad = bad_pairs(rows, 9)
         for u in range(9):
             for v in range(u + 1, 9):
-                assert oracle.is_good(u, v) == ((u, v) not in bad)
+                # both rows of a pair hold it, exactly when it is bad
+                assert (rows[u] >> v) & 1 == (rows[v] >> u) & 1 == ((u, v) in bad)
 
 
 class TestPrune:
     def test_no_bad_pairs_keeps_all(self):
         h = complete(10)
-        oracle = classify_pairs(h, 0)
-        assert prune_bad_vertices(h, 0.04, oracle) == frozenset(range(10))
+        assert prune_bad_vertices(h, 0.04, classify_pairs(h, 0)) == frozenset(range(10))
 
     def test_concentrated_vertex_removed(self):
         # vertex 0 bad with everyone, everything else good
@@ -147,28 +145,25 @@ class TestPrune:
         for u, v in bad:
             mask[u] |= 1 << v
             mask[v] |= 1 << u
-        from hypersquare.tiling import GoodPairOracle
-
-        oracle = GoodPairOracle(1, tuple(mask))
-        survivors = prune_bad_vertices(h, 0.04, oracle)  # limit = 2
+        survivors = prune_bad_vertices(h, 0.04, tuple(mask))  # limit = 2
         assert survivors == frozenset(range(1, 10))
 
     def test_everything_bad_near_total_removal(self):
         # the last survivor sits in zero bad pairs, so one vertex remains
         h = complete(8)
-        oracle = classify_pairs(h, 7)  # all pairs bad
-        assert len(prune_bad_vertices(h, 0.01, oracle)) <= 1
+        bad = classify_pairs(h, 7)  # all pairs bad
+        assert len(prune_bad_vertices(h, 0.01, bad)) <= 1
 
     def test_survivors_below_limit(self):
         import math
 
         h = random_hypergraph(12, 0.5, seed=41)
-        oracle = classify_pairs(h, 4)
-        survivors = prune_bad_vertices(h, 0.02, oracle)
+        bad = classify_pairs(h, 4)
+        survivors = prune_bad_vertices(h, 0.02, bad)
         limit = math.sqrt(0.02) * 12
         alive = mask_of(survivors)
         for v in survivors:
-            assert oracle.bad_count(v, alive) < limit
+            assert (bad[v] & alive).bit_count() < limit
 
 
 class TestSplitMove:
@@ -187,7 +182,7 @@ class TestNewPairMove:
     def test_lowest_free_vertex_takes_lowest_good_partner(self):
         # 0 and 1 form a bad pair and 2 is in a tile, so 0 pairs with 3, not 5
         bad = (0b10, 0b01, 0, 0, 0, 0)
-        good = _good_masks(GoodPairOracle(0, bad), mask_of(range(6)))
+        good = _good_masks(bad, mask_of(range(6)))
         tiles = [(2, 4)]
         assert _apply_new_pair(tiles, good, mask_of([0, 1, 3, 5]))
         assert tiles == [(2, 4), (0, 3)]
@@ -203,14 +198,14 @@ class TestGrowMask:
     @settings(max_examples=60, deadline=None)
     def test_matches_tile_ok(self, n, p, seed, data):
         h = random_hypergraph(n, p, seed=seed)
-        oracle = classify_pairs(h, data.draw(st.integers(0, n - 2)))
+        bad = classify_pairs(h, data.draw(st.integers(0, n - 2)))
         domain = data.draw(st.sets(st.integers(0, n - 1), min_size=2))
-        good = _good_masks(oracle, mask_of(domain))
+        good = _good_masks(bad, mask_of(domain))
         tiles = [
             t
             for size in (2, 3, 4)
             for t in itertools.combinations(sorted(domain), size)
-            if _tile_ok(h, oracle, t)
+            if _tile_ok(h, bad, t)
         ]
         assume(tiles)
         for t in data.draw(st.lists(st.sampled_from(tiles), min_size=1, max_size=8)):
@@ -218,7 +213,7 @@ class TestGrowMask:
             expected = set() if len(t) == 4 else {
                 x
                 for x in domain
-                if x not in t and _tile_ok(h, oracle, tuple(sorted(t + (x,))))
+                if x not in t and _tile_ok(h, bad, tuple(sorted(t + (x,))))
             }
             assert set(bits_of(_grow_mask(h, good, t))) == expected
 
@@ -240,9 +235,9 @@ class TestWeightedTiling:
 
     def test_duplicate_domain_vertices_count_once(self):
         h = complete(8)
-        oracle = classify_pairs(h, 3)
-        til = weighted_tiling(h, [0, 0, 1, 2, 3, 4], oracle, seed=1)
-        assert til == weighted_tiling(h, [0, 1, 2, 3, 4], oracle, seed=1)
+        bad = classify_pairs(h, 3)
+        til = weighted_tiling(h, [0, 0, 1, 2, 3, 4], bad, seed=1)
+        assert til == weighted_tiling(h, [0, 1, 2, 3, 4], bad, seed=1)
         assert sorted(v for t in til.tiles for v in t) == [0, 1, 2, 3]
 
     def test_micro_matches_exhaustive(self):
@@ -250,32 +245,32 @@ class TestWeightedTiling:
         for trial in range(60):
             n = rng.randint(4, 8)
             h = random_hypergraph(n, rng.choice([0.3, 0.5, 0.8]), seed=500 + trial)
-            oracle = classify_pairs(h, rng.choice([0, 1, 2]))
-            got = weighted_tiling(h, range(n), oracle, seed=trial).weight
-            assert got == exhaustive_tiling_weight(h, range(n), oracle)
+            bad = classify_pairs(h, rng.choice([0, 1, 2]))
+            got = weighted_tiling(h, range(n), bad, seed=trial).weight
+            assert got == exhaustive_tiling_weight(h, range(n), bad)
 
     def test_tiles_good_complete_disjoint(self):
         h = random_hypergraph(14, 0.7, seed=43)
-        oracle = classify_pairs(h, 5)
-        til = weighted_tiling(h, range(14), oracle, seed=1)
+        bad = classify_pairs(h, 5)
+        til = weighted_tiling(h, range(14), bad, seed=1)
         seen = set()
         for t in til.tiles:
-            assert _tile_ok(h, oracle, t)
+            assert _tile_ok(h, bad, t)
             assert not (set(t) & seen)
             seen |= set(t)
         assert til.weight == sum(WEIGHTS[len(t)] for t in til.tiles)
 
     def test_deterministic(self):
         h = random_hypergraph(13, 0.6, seed=44)
-        oracle = classify_pairs(h, 4)
-        a = weighted_tiling(h, range(13), oracle, seed=3)
-        b = weighted_tiling(h, range(13), oracle, seed=3)
+        bad = classify_pairs(h, 4)
+        a = weighted_tiling(h, range(13), bad, seed=3)
+        b = weighted_tiling(h, range(13), bad, seed=3)
         assert a.tiles == b.tiles
 
     def test_respects_domain(self):
         h = complete(12)
-        oracle = classify_pairs(h, 0)
-        til = weighted_tiling(h, range(6), oracle)
+        bad = classify_pairs(h, 0)
+        til = weighted_tiling(h, range(6), bad)
         assert all(v < 6 for t in til.tiles for v in t)
 
 
