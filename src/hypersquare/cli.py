@@ -30,7 +30,7 @@ from .certify import (
     is_squared_walk,
     parse_sequence,
 )
-from .connector import DEFAULT_BUDGET, connect, sample_reservoir
+from .connector import connect, sample_reservoir
 from .core import (
     Config,
     Hypergraph3,
@@ -212,7 +212,7 @@ def _cmd_connect(args, argv) -> int:
     except ValueError:
         raise _UsageError(f"bad --forbid list {args.forbid!r}") from None
     forbidden = mask_of(h.check_vertex(v, "forbidden vertex") for v in forbid)
-    seq = connect(h, abc, xyz, forbidden=forbidden, cap_m=args.cap_m, budget=args.budget)
+    seq = connect(h, abc, xyz, forbidden=forbidden, cap_m=args.cap_m)
     if args.json:
         payload = {"found": seq is not None}
         if seq is not None:
@@ -391,8 +391,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--forbid", default=None)
-    p.add_argument("--cap-m", dest="cap_m", type=int, default=12)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--cap-m", dest="cap_m", type=int, default=Config.cap_m)
     p.add_argument("--input", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_connect)

@@ -3,9 +3,14 @@ reservoir that connections are later routed through.
 
 The search state is the ordered triple of the last three placed vertices:
 appending u to state (p, q, r) is legal iff pqu, pru, qru are all edges,
-which makes the new window p, q, r, u a tetrahedron.  Breadth-first
-exploration over these states returns a connection with the minimum number
-of internal vertices reachable within the budget.
+which makes the new window p, q, r, u a tetrahedron.  States are explored
+breadth first, one internal vertex per level, and a returned connection is
+always a certified squared path.  Up to three internal vertices a state
+names its whole interior, so no connection that short is missed unless the
+budget cuts a level: a level stops, without notice, once it holds
+``DEFAULT_BUDGET`` states.  Past three, a state reached again through other
+interior vertices is dropped, so a connection can be missed and a longer one
+returned.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import random
 from .certify import VertexSeq, is_squared_path
 from .core import Config, Hypergraph3, ResourceLimitError, bits_of, derive_seed, mask_of
 
+# most states the search keeps on one level
 DEFAULT_BUDGET = 10**6
 # reservoir samples drawn before giving up on the size bound
 RESERVOIR_RETRIES = 64
@@ -71,20 +77,18 @@ def sample_reservoir(h: Hypergraph3, cfg: Config) -> Reservoir:
     )
 
 
-def _normalize_triple(h: Hypergraph3, t, name: str) -> tuple[int, int, int]:
-    t = tuple(t)
-    if len(t) != 3:
-        raise ValueError(f"{name} must have exactly 3 vertices")
-    for v in t:
-        h.check_vertex(v, name)
-    if not h.has_edge(*t):
-        raise ValueError(f"{name} {t} is not an edge")
-    return t
-
-
 def _check_endpoints(h, abc, xyz):
-    abc = _normalize_triple(h, abc, "start triple")
-    xyz = _normalize_triple(h, xyz, "end triple")
+    ends = []
+    for t, name in ((abc, "start triple"), (xyz, "end triple")):
+        t = tuple(t)
+        if len(t) != 3:
+            raise ValueError(f"{name} must have exactly 3 vertices")
+        for v in t:
+            h.check_vertex(v, name)
+        if not h.has_edge(*t):
+            raise ValueError(f"{name} {t} is not an edge")
+        ends.append(t)
+    abc, xyz = ends
     if len(set(abc + xyz)) != 6:
         raise ValueError("the six end vertices must be pairwise distinct")
     return abc, xyz
@@ -101,9 +105,9 @@ def _closes(pn, p: int, q: int, r: int, x: int, y: int, z: int) -> bool:
     )
 
 
-def _search(h, abc, xyz, allowed: int, cap_m: int, budget: int):
-    """BFS over last-three-vertex states; returns the interior tuple of a
-    minimum-length connection or None."""
+def _search(h, abc, xyz, allowed: int, cap_m: int):
+    """BFS over last-three-vertex states; returns the interior tuple of the
+    first connection it meets or None."""
     pn = h._pn
     x, y, z = xyz
     frontier: dict[tuple[int, int, int], tuple[int, ...]] = {abc: ()}
@@ -122,9 +126,9 @@ def _search(h, abc, xyz, allowed: int, cap_m: int, budget: int):
                 state = (q, r, u)
                 if state not in nxt:
                     nxt[state] = interior + (u,)
-                    if len(nxt) >= budget:
+                    if len(nxt) >= DEFAULT_BUDGET:
                         break
-            if len(nxt) >= budget:
+            if len(nxt) >= DEFAULT_BUDGET:
                 break
         if not nxt:
             return None
@@ -132,9 +136,17 @@ def _search(h, abc, xyz, allowed: int, cap_m: int, budget: int):
     return None
 
 
-def _connect(h, abc, xyz, allowed: int, cap_m: int, budget: int) -> VertexSeq | None:
-    """The certified squared path that _search finds, or None."""
-    interior = _search(h, abc, xyz, allowed, cap_m, budget)
+def _route(h, abc, xyz, pool: int, forbidden, cap_m: int) -> VertexSeq | None:
+    """The certified squared path that _search finds from abc to xyz with
+    internal vertices in pool and not forbidden, or None."""
+    abc, xyz = _check_endpoints(h, abc, xyz)
+    if cap_m < 1:
+        raise ValueError("cap_m must be at least 1")
+    fmask = forbidden if isinstance(forbidden, int) else mask_of(forbidden)
+    ends = mask_of(abc + xyz)
+    if fmask & ends:
+        raise ValueError("end vertices may not be forbidden")
+    interior = _search(h, abc, xyz, pool & ~fmask & ~ends, cap_m)
     if interior is None:
         return None
     seq = VertexSeq(abc + interior + xyz)
@@ -144,28 +156,16 @@ def _connect(h, abc, xyz, allowed: int, cap_m: int, budget: int) -> VertexSeq | 
 
 
 def connect(
-    h: Hypergraph3,
-    abc,
-    xyz,
-    forbidden=0,
-    cap_m: int = 12,
-    budget: int = DEFAULT_BUDGET,
+    h: Hypergraph3, abc, xyz, forbidden=0, cap_m: int = Config.cap_m
 ) -> VertexSeq | None:
     """Squared path from abc to xyz with fewer than cap_m internal vertices,
-    none of them forbidden; None when the bounded search exhausts.
+    none of them forbidden, or None when the search finds none (see the
+    module docstring for when that search is exact).
 
     Precondition violations (non-edges, overlapping or forbidden end
     vertices) raise ValueError and are distinct from search failure.
     """
-    abc, xyz = _check_endpoints(h, abc, xyz)
-    if cap_m < 1:
-        raise ValueError("cap_m must be at least 1")
-    fmask = forbidden if isinstance(forbidden, int) else mask_of(forbidden)
-    ends = mask_of(abc + xyz)
-    if fmask & ends:
-        raise ValueError("end vertices may not be forbidden")
-    allowed = h.full_mask & ~fmask & ~ends
-    return _connect(h, abc, xyz, allowed, cap_m, budget)
+    return _route(h, abc, xyz, h.full_mask, forbidden, cap_m)
 
 
 def count_connections(h: Hypergraph3, abc, xyz, m: int) -> int:
@@ -193,19 +193,11 @@ def count_connections(h: Hypergraph3, abc, xyz, m: int) -> int:
 
 
 def connect_through_reservoir(
-    h: Hypergraph3,
-    r: Reservoir,
-    abc,
-    xyz,
-    cap_m: int = 12,
+    h: Hypergraph3, r: Reservoir, abc, xyz, cap_m: int = Config.cap_m
 ) -> VertexSeq | None:
     """Like connect, but internal vertices come only from the unused part of
     the reservoir; on success they are marked used."""
-    abc, xyz = _check_endpoints(h, abc, xyz)
-    if cap_m < 1:
-        raise ValueError("cap_m must be at least 1")
-    ends = mask_of(abc + xyz)
-    seq = _connect(h, abc, xyz, r.available & ~ends, cap_m, DEFAULT_BUDGET)
+    seq = _route(h, abc, xyz, r.available, 0, cap_m)
     if seq is not None:
         r.used |= mask_of(seq.vertices[3:-3])
     return seq

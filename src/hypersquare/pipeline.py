@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import sys
 import time
 
 from . import absorber as absorber_mod
@@ -66,7 +67,10 @@ def _attempt_construction(h: Hypergraph3, cfg: Config, stats: dict) -> VertexSeq
     stats["timings"] = timings
 
     t0 = time.perf_counter()
-    reservoir = sample_reservoir(h, cfg)
+    try:
+        reservoir = sample_reservoir(h, cfg)
+    except ResourceLimitError as exc:
+        raise _StageFailure("reservoir", str(exc)) from exc
     timings["reservoir"] = time.perf_counter() - t0
     stats["reservoir_size"] = reservoir.member_count
 
@@ -82,17 +86,16 @@ def _attempt_construction(h: Hypergraph3, cfg: Config, stats: dict) -> VertexSeq
     largest = build_absorber_family(h, reservoir, cfg, size=size)
     if not largest.tuples:
         raise _StageFailure("absorber_family", "no absorber tuples found")
-    join_error = None
-    # the greedy may stall below the target size
+    # the greedy may stall below the target size.  A one-tuple family has no
+    # join, so its path is the tuple itself and the last size always builds
     for size in range(len(largest.tuples), 0, -1):
         fam = largest.truncated(size)
         try:
             pa = absorber_mod.build_absorbing_path(h, fam, reservoir, cfg)
             break
-        except PathConstructionError as exc:
-            join_error = exc
-    else:
-        raise _StageFailure("absorbing_path", str(join_error)) from join_error
+        except PathConstructionError:
+            if size == 1:
+                raise
     timings["absorber_family"] = time.perf_counter() - t0
     stats["family_size"] = len(fam.tuples)
     stats["family_degraded"] = fam.degraded
@@ -171,7 +174,6 @@ def construct_squared_hamiltonian(
     if h.n < 5:
         raise ValueError("construction needs at least 5 vertices")
     cfg = cfg or Config()
-    last_failure: _StageFailure | None = None
     stats: dict = {}
     for attempt in range(max(1, attempts)):
         cfg_a = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "attempt", attempt))
@@ -179,19 +181,10 @@ def construct_squared_hamiltonian(
         try:
             cycle = _attempt_construction(h, cfg_a, stats)
             return ConstructionReport("cycle", cycle, None, None, stats, attempt + 1)
-        except (_StageFailure, ResourceLimitError) as exc:
-            if isinstance(exc, _StageFailure):
-                last_failure = exc
-            else:
-                last_failure = _StageFailure("reservoir", str(exc))
-    assert last_failure is not None
+        except _StageFailure as exc:
+            failure = exc
     return ConstructionReport(
-        "failure",
-        None,
-        last_failure.stage,
-        last_failure.detail,
-        stats,
-        max(1, attempts),
+        "failure", None, failure.stage, failure.detail, stats, max(1, attempts)
     )
 
 
@@ -222,6 +215,12 @@ class _Deadline:
 
 class _Timeout(Exception):
     pass
+
+
+def _too_deep(n: int) -> ValueError:
+    # each exact oracle recurses once per placed vertex or tile
+    limit = sys.getrecursionlimit()
+    return ValueError(f"n={n} is too large for the exact oracle: recursion limit {limit}")
 
 
 def _k4_adjacency(h: Hypergraph3) -> list[int]:
@@ -314,7 +313,8 @@ def oracle_has_squared_hamiltonian(
       potential tetrahedron partners among the usable vertices.
 
     A child with no candidate is dropped before the memo sees it.  Intended
-    for n up to about 20.
+    for n up to about 20; a search deeper than the recursion limit raises
+    ValueError.
     """
     n = h.n
     if n < 5:
@@ -430,6 +430,8 @@ def oracle_has_squared_hamiltonian(
                     return OracleResult("yes", cycle)
     except _Timeout:
         return OracleResult("timeout")
+    except RecursionError:
+        raise _too_deep(n) from None
     return OracleResult("no")
 
 
@@ -437,7 +439,8 @@ def oracle_has_perfect_k4_tiling(
     h: Hypergraph3, time_limit: float | None = 120.0
 ) -> OracleResult:
     """Exact-cover backtracking over tetrahedra, branching on the lowest
-    uncovered vertex; failed residual vertex sets are memoized."""
+    uncovered vertex; failed residual vertex sets are memoized.  A search
+    deeper than the recursion limit raises ValueError."""
     n = h.n
     if n % 4 != 0 or n == 0:
         return OracleResult("no")
@@ -473,6 +476,8 @@ def oracle_has_perfect_k4_tiling(
             return OracleResult("yes", [tuple(sorted(t)) for t in chosen])
     except _Timeout:
         return OracleResult("timeout")
+    except RecursionError:
+        raise _too_deep(n) from None
     finally:
         # break the rec -> rec reference cycle that would keep the memo alive
         failed.clear()

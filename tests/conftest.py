@@ -5,7 +5,9 @@ subsets and windows directly from edge lists, so agreement with the library
 is meaningful.
 """
 
+import contextlib
 import itertools
+import sys
 
 import pytest
 
@@ -98,3 +100,18 @@ def pik12():
     from hypersquare import pikhurko
 
     return pikhurko(12)
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to the current stack depth plus frames, so
+    a search that recurses once per vertex passes it on a small input."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypersquare import (
@@ -18,6 +18,7 @@ from hypersquare import (
     build_absorber_family,
     build_absorbing_path,
     complete,
+    dense_instance,
     dense_random,
     enumerate_v_absorbers,
     is_squared_path,
@@ -334,6 +335,25 @@ class TestAbsorbingPath:
         r = Reservoir(members=0)
         fam = build_absorber_family(h, r, cfg).truncated(1)
         pa = build_absorbing_path(h, fam, r, cfg)
+        assert pa.vertices == fam.tuples[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(10, 24),
+        st.floats(0.6, 0.95),
+        st.integers(0, 10**6),
+        st.sampled_from([0.0, 0.15, 0.3, 0.5]),
+        st.integers(0, 2**63 - 1),
+    )
+    def test_one_tuple_family_always_builds(self, n, fraction, graph_seed, theta, seed):
+        # the construction's smallest fallback family: one tuple, built clear
+        # of the reservoir at the size the pipeline asks for, needs no join
+        h = dense_instance(n, fraction, graph_seed)
+        cfg = Config(theta_star=theta, seed=seed)
+        r = sample_reservoir(h, cfg)
+        fam = build_absorber_family(h, r, cfg, size=max(1, (n - r.member_count) // 6))
+        assume(fam.tuples)
+        pa = build_absorbing_path(h, fam.truncated(1), r, cfg)
         assert pa.vertices == fam.tuples[0]
 
     def test_empty_family_rejected(self):

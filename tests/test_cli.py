@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from hypersquare import (
     Config,
     complete,
@@ -8,7 +10,8 @@ from hypersquare import (
     format_hypergraph,
     parse_hypergraph,
 )
-from hypersquare.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from hypersquare.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, entry, main
+from conftest import recursion_headroom
 
 
 def run_cli(capsys, monkeypatch, argv, stdin_text=""):
@@ -156,6 +159,14 @@ class TestOracleCommand:
         )
         assert code == EXIT_OK
         assert out.splitlines()[0] == "yes"
+
+    def test_too_deep_input_is_an_error(self, capsys, monkeypatch):
+        text = format_hypergraph(complete(40))
+        with recursion_headroom(30):
+            code, out, err = run_cli(capsys, monkeypatch, ["oracle", "cycle"], stdin_text=text)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: n=40 is too large for the exact oracle")
 
 
 class TestConstructCommand:
@@ -319,3 +330,52 @@ class TestUsage:
         )
         assert code == EXIT_USAGE
         assert "tau=1.5 must lie in (0, 1)" in err
+
+
+class TestInputFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--theta-star", "0.3", "--seed", "2"],
+            ["oracle", "cycle", "--json"],
+            ["cover", "--q", "4", "--seed", "1"],
+        ],
+    )
+    def test_input_file_matches_stdin(self, capsys, monkeypatch, tmp_path, argv):
+        code, text, _ = run_cli(
+            capsys, monkeypatch, ["gen", "dense", "14", "--delta2", "0.8", "--seed", "3"]
+        )
+        assert code == EXIT_OK
+        path = tmp_path / "dense14.txt"
+        path.write_text(text, encoding="utf-8")
+        file_argv = argv + ["--input", str(path)]
+        code_stdin, out_stdin, _ = run_cli(capsys, monkeypatch, argv, stdin_text=text)
+        code_file, out_file, _ = run_cli(capsys, monkeypatch, file_argv)
+        assert code_file == code_stdin
+        # a manifest records the argument vector as given, --input included
+        assert out_file.replace(json.dumps(file_argv), json.dumps(argv)) == out_stdin
+
+    def test_missing_input_file(self, capsys, monkeypatch, tmp_path):
+        code, out, err = run_cli(
+            capsys, monkeypatch, ["oracle", "cycle", "--input", str(tmp_path / "absent.txt")]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestEntry:
+    @pytest.mark.parametrize(
+        "argv, stdin_text, status",
+        [
+            (["gen", "complete", "6"], "", EXIT_OK),
+            (["gen", "bogus", "6"], "", EXIT_USAGE),
+            (["connect", "--from", "0,1,2", "--to", "3,4,5"], "n 6\n0 1 2\n3 4 5\n", EXIT_FAILURE),
+        ],
+    )
+    def test_console_script_exit_codes(self, capsys, monkeypatch, argv, stdin_text, status):
+        monkeypatch.setattr("sys.argv", ["hypersquare"] + argv)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == status

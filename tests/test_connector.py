@@ -10,6 +10,7 @@ from hypersquare import (
     connect,
     connect_through_reservoir,
     count_connections,
+    dense_instance,
     dense_random,
     is_squared_path,
     random_hypergraph,
@@ -90,6 +91,32 @@ class TestConnect:
             if count_connections(h, (0, 1, 2), (3, 4, 5), m):
                 assert len(seq) - 6 == m
                 break
+
+    def test_exact_up_to_three_interior_vertices(self):
+        # a state names its whole interior until the fourth internal vertex,
+        # so the search misses no connection that short
+        rng = random.Random(23)
+        shortest_seen = set()
+        for trial in range(150):
+            h = dense_instance(rng.randint(9, 12), rng.choice([0.55, 0.65]), 500 + trial)
+            e1 = rng.choice(list(h.iter_edges()))
+            disjoint = [e for e in h.iter_edges() if not set(e) & set(e1)]
+            if not disjoint:
+                continue
+            e2 = rng.choice(disjoint)
+            cap_m = rng.randint(1, 7)
+            shortest = next(
+                (m for m in range(min(cap_m, 4)) if count_connections(h, e1, e2, m)),
+                None,
+            )
+            seq = connect(h, e1, e2, cap_m=cap_m)
+            found = None if seq is None else len(seq) - 6
+            if shortest is None:
+                assert found is None or found >= 4
+            else:
+                assert found == shortest
+            shortest_seen.add(shortest)
+        assert shortest_seen == {None, 0, 1, 2, 3}
 
     def test_random_instances_sound(self):
         rng = random.Random(20)

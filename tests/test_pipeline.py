@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypersquare import (
     Config,
     Hypergraph3,
+    ResourceLimitError,
     certify_hamiltonian,
     complete,
     construct_squared_hamiltonian,
@@ -26,7 +27,7 @@ from hypersquare import (
 from hypersquare import pipeline
 from hypersquare.core import bits_of
 from hypersquare.pipeline import _k4_adjacency
-from conftest import brute_has_hamiltonian
+from conftest import brute_has_hamiltonian, recursion_headroom
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,6 +52,15 @@ class TestConstruct:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             construct_squared_hamiltonian(complete(4), Config())
+
+    def test_reservoir_limit_is_a_stage_failure(self, monkeypatch):
+        def oversized(h, cfg):
+            raise ResourceLimitError("reservoir within size bound 0.00 not found")
+
+        monkeypatch.setattr(pipeline, "sample_reservoir", oversized)
+        report = construct_squared_hamiltonian(complete(20), Config())
+        assert (report.outcome, report.stage, report.attempts) == ("failure", "reservoir", 3)
+        assert report.detail == "reservoir within size bound 0.00 not found"
 
     def test_pikhurko_fails(self):
         h, _ = pikhurko(16)
@@ -255,6 +265,19 @@ class TestCycleOracle:
             assert res.status == "yes"
             assert certify_hamiltonian(h, res.witness)
 
+    def test_window_prune_cuts_a_dead_end(self):
+        # vertex 19 keeps only the edges inside 0..6 and 19, so it must sit
+        # among 0..6; the window test sees the branch that strands it, which
+        # a search without that test runs to its deadline
+        edges = [
+            e
+            for e in complete(20).iter_edges()
+            if 19 not in e or max(v for v in e if v != 19) < 7
+        ]
+        res = oracle_has_squared_hamiltonian(Hypergraph3(20, edges), time_limit=10)
+        assert res.status == "yes"
+        assert res.witness.vertices == (0, 1, 2, 3, *range(7, 19), 4, 5, 6, 19)
+
     def test_timeout_outcome(self):
         res = oracle_has_squared_hamiltonian(complete(14), time_limit=0.0)
         assert res.status in ("timeout", "yes")  # precheck may answer instantly
@@ -322,6 +345,26 @@ class TestTilingOracle:
             a = oracle_has_perfect_k4_tiling(h, 30).status
             b = oracle_has_perfect_k4_tiling(relabel(h, perm), 30).status
             assert a == b
+
+
+class TestOracleDepth:
+    """Both exact oracles recurse once per placed vertex or tile, so an input
+    too large for the recursion limit is refused with ValueError, and any
+    input small enough keeps its answer."""
+
+    def test_cycle_oracle_too_deep(self):
+        expected = oracle_has_squared_hamiltonian(complete(12))
+        with recursion_headroom(30):
+            assert oracle_has_squared_hamiltonian(complete(12)) == expected
+            with pytest.raises(ValueError, match="n=40 "):
+                oracle_has_squared_hamiltonian(complete(40))
+
+    def test_tiling_oracle_too_deep(self):
+        expected = oracle_has_perfect_k4_tiling(complete(40))
+        with recursion_headroom(30):
+            assert oracle_has_perfect_k4_tiling(complete(40)) == expected
+            with pytest.raises(ValueError, match="n=160 "):
+                oracle_has_perfect_k4_tiling(complete(160))
 
 
 class TestOraclePipelineConsistency:
