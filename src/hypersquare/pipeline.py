@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import sys
 import time
 
@@ -30,11 +31,15 @@ from .tiling import cover_with_squared_paths
 # the cap, further dead ends are searched again when reached
 FAILED_MEMO_CAP = 2_000_000
 # the cycle oracle lists a head's closing tails only when the head has at
-# most this many closing pairs (y, z).  A head of dense_instance(16|18, 0.5)
-# has a median of 5 pairs (p90 15) and 30 tails (p90 113), and its search
-# is long; one of dense_instance(14, 0.6-0.9) has a median of 33 pairs
-# (p90 90) and up to 7,200 tails, and the first head usually holds a cycle
+# most this many closing pairs (y, z).  A head (with a closing vertex) of the
+# 245 dense_instance(16|18, 0.5) inputs of the oracle benchmark has a median
+# of 7 pairs (p90 16) and 100 tails (p90 308), and its search is long; one
+# of dense_instance(14, 0.6-0.9) has a median of 40 pairs (p90 90) and up to
+# 55,440 tails, and the first head usually holds a cycle
 CLOSING_PAIR_CAP = 24
+# each exact oracle counts its search states and reads the clock once every
+# CLOCK_EVERY of them
+CLOCK_EVERY = 1024
 
 
 @dataclasses.dataclass
@@ -197,20 +202,24 @@ class OracleResult:
     witness: object = None
 
 
+def _check_time_limit(seconds: float | None) -> None:
+    # None and inf mean no limit; a NaN limit would never compare as expired
+    if seconds is not None and not seconds >= 0:
+        raise ValueError(
+            f"time limit must be a nonnegative number of seconds, got {seconds!r}"
+        )
+
+
 class _Deadline:
-    __slots__ = ("at", "ticks")
+    __slots__ = ("at",)
 
     def __init__(self, seconds: float | None):
-        self.at = None if seconds is None else time.perf_counter() + seconds
-        self.ticks = 0
+        _check_time_limit(seconds)
+        self.at = math.inf if seconds is None else time.perf_counter() + seconds
 
-    def expired(self) -> bool:
-        if self.at is None:
-            return False
-        self.ticks += 1
-        if self.ticks & 0x3FF:
-            return False
-        return time.perf_counter() > self.at
+    def check(self) -> None:
+        if time.perf_counter() > self.at:
+            raise _Timeout
 
 
 class _Timeout(Exception):
@@ -250,16 +259,27 @@ def _k4_adjacency(h: Hypergraph3) -> list[int]:
     return adj
 
 
+class _Members(dict):
+    """members[m] = the vertices of bitset m as an ascending tuple, made on
+    first use.  The heads of one oracle call list their tails from many of
+    the same sets, and a loop over a cached tuple is cheaper than taking the
+    lowest bit inline or running ``bits_of``."""
+
+    def __missing__(self, m: int) -> tuple[int, ...]:
+        vs = self[m] = tuple(bits_of(m))
+        return vs
+
+
 def _closing_tails(
-    pn: list[list[int]], v1: int, head: int, close: int
+    pn: list[list[int]], v1: int, head: int, close: int, members: _Members
 ) -> tuple[int, list[int]] | None:
-    """The tails (w, x, y, z) that can end a cycle opening 0 v1 v2, as
+    """The tails (v, w, x, y, z) that can end a cycle opening 0 v1 v2, as
     (every, keep): ``every`` has one bit per tail and ``keep[u]`` the bits of
     the tails avoiding u.  None when the head has more than
     ``CLOSING_PAIR_CAP`` closing pairs (y, z).
 
-    z lies in close, y z 0 v1, x y z 0 and w x y z are tetrahedra, and no
-    tail vertex is in the head.
+    z lies in close, y z 0 v1, x y z 0, w x y z and v w x y are tetrahedra,
+    and no tail vertex is in the head.
     """
     base = pn[0][v1] & ~head
     pairs = []
@@ -270,19 +290,25 @@ def _closing_tails(
         if count > CLOSING_PAIR_CAP:
             return None
         pairs.append((z, ys))
-    # hit[u] = the tails through u; the tails sharing z, then y, then x are
-    # numbered consecutively, so those take one block of bits each
+    # hit[u] = the tails through u; the tails sharing z, then y, then x, then
+    # w are numbered consecutively, so those take one block of bits each
     hit = [0] * len(pn)
     bit = 1
     for z, ys in pairs:
         row_z, from_z = pn[z], bit
-        for y in bits_of(ys):
-            yz, from_y = row_z[y] & ~head, bit
-            for x in bits_of(yz & pn[y][0] & row_z[0]):
-                from_x = bit
-                for w in bits_of(yz & pn[x][y] & pn[x][z]):
-                    hit[w] |= bit
-                    bit <<= 1
+        # w and v lie off the head, and v is not z
+        off = ~head & ~(1 << z)
+        for y in members[ys]:
+            row_y, yz, from_y = pn[y], row_z[y] & ~head, bit
+            for x in members[yz & row_y[0] & row_z[0]]:
+                row_x, from_x = pn[x], bit
+                xy = row_x[y] & off
+                for w in members[yz & xy & row_x[z]]:
+                    row_w, from_w = pn[w], bit
+                    for v in members[xy & row_w[x] & row_w[y]]:
+                        hit[v] |= bit
+                        bit <<= 1
+                    hit[w] |= bit - from_w
                 hit[x] |= bit - from_x
             hit[y] |= bit - from_y
         hit[z] |= bit - from_z
@@ -303,19 +329,21 @@ def oracle_has_squared_hamiltonian(
     - closing vertex: the last vertex closes the windows through 0, v1 and
       v2 (the first three), so it lies in N(0, v1) & N(0, v2) & N(v1, v2)
       above v1; a branch whose unplaced vertices miss that set dies;
-    - closing tail: for n >= 7 the last four vertices w x y z lie off the
-      head, z closes it and y z 0 v1, x y z 0 and w x y z are tetrahedra;
-      a branch with four or more places left dies when no such tail is
-      still unplaced, and a head with no tail is not searched.  The tails
-      are listed only for heads with few closing pairs (y, z), see
+    - closing tail: for n >= 8 the last five vertices v w x y z lie off the
+      head, z closes it and y z 0 v1, x y z 0, w x y z and v w x y are
+      tetrahedra; a branch with five or more places left dies when no such
+      tail is still unplaced, and a head with no tail is not searched.  The
+      tails are listed only for heads with few closing pairs (y, z), see
       ``CLOSING_PAIR_CAP``;
     - window: a branch dies when some unplaced vertex no longer has six
       potential tetrahedron partners among the usable vertices.
 
-    A child with no candidate is dropped before the memo sees it.  Intended
-    for n up to about 20; a search deeper than the recursion limit raises
-    ValueError.
+    A child with no candidate, or one already memoized, is dropped before it
+    is searched.  Intended for n up to about 20; a search deeper than the
+    recursion limit raises ValueError, and a time limit that is NaN or
+    negative raises ValueError before any search.
     """
+    deadline = _Deadline(time_limit)
     n = h.n
     if n < 5:
         raise ValueError("squared Hamiltonian cycles need at least 5 vertices")
@@ -325,7 +353,6 @@ def oracle_has_squared_hamiltonian(
     if any(k4adj[v].bit_count() < need for v in range(n)):
         return OracleResult("no")
 
-    deadline = _Deadline(time_limit)
     full = h.full_mask
     # Only these vertices can fail the window test.  Below depth n the scope
     # holds n - depth + min(depth, 6) vertices, so a vertex sharing a
@@ -333,9 +360,13 @@ def oracle_has_squared_hamiltonian(
     deficient = mask_of(v for v in range(n) if k4adj[v] | (1 << v) != full)
     # alive & unplaced[u] drops u from the closing vertices still unplaced
     unplaced = [~(1 << u) for u in range(n)]
+    members = _Members()
+    # search states over all heads, for the deadline
+    ticks = 0
 
     def search(v1: int, v2: int) -> tuple[int, ...] | None:
         failed: set[tuple[int, int, int, int]] = set()
+        # the witness past the head, last vertex first, filled on success
         order: list[int] = []
         head = 1 | (1 << v1) | (1 << v2)
         # the vertices spanning a tetrahedron with 0, v1 and v2: the fourth
@@ -350,35 +381,43 @@ def oracle_has_squared_hamiltonian(
         # depth cut, the set of closing tails still unplaced; either way a
         # function of the placed set alone, so the memo key stays sound
         alive, tail_keep, cut = close, unplaced, n
-        # below 7 vertices the tail overlaps the head
-        tails = _closing_tails(pn, v1, head, close) if n >= 7 else None
+        # below 8 vertices the tail overlaps the head
+        tails = _closing_tails(pn, v1, head, close, members) if n >= 8 else None
         if tails is not None:
             alive, tail_keep = tails
             if not alive:
                 return None
-            cut = n - 4
+            cut = n - 5
 
         def rec(
             used: int, p: int, q: int, r: int, cands: int, depth: int, alive: int
         ) -> bool:
-            # cands is nonempty and alive is nonempty
-            key = (used, p, q, r)
-            if key in failed:
-                return False
-            if deadline.expired():
-                raise _Timeout
-            unused = full & ~used
-            if unused & deficient:
+            # cands and alive are nonempty, and (used, p, q, r) is not in failed
+            nonlocal ticks
+            ticks += 1
+            if not ticks % CLOCK_EVERY:
+                deadline.check()
+            row_q, row_r = pn[q], pn[r]
+            qr = row_q[r]
+            depth += 1
+            if depth == n:
+                # u, the one unplaced vertex, is in close; the windows
+                # (q, r, u, 0) and (r, u, 0, v1) are left to check
+                u = cands.bit_length() - 1
+                nxt = qr & row_q[u] & row_r[u]
+                if nxt & (row_r[u] >> v1) & (row_r[0] >> v1) & 1:
+                    order.append(u)
+                    return True
+                cands = 0
+            elif deficient & ~used:
                 # any unplaced vertex draws its six window mates from the
                 # unplaced vertices, the frontier p, q, r, and the fixed head
+                unused = full & ~used
                 scope = unused | (1 << p) | (1 << q) | (1 << r) | head
                 for u in bits_of(unused & deficient):
                     if (k4adj[u] & scope).bit_count() < need:
                         cands = 0
                         break
-            row_q, row_r = pn[q], pn[r]
-            qr = row_q[r]
-            depth += 1
             if depth > cut:
                 # u may be the tail's first vertex or later: fall back to
                 # the closing vertex
@@ -389,29 +428,24 @@ def oracle_has_squared_hamiltonian(
                 low = cands & -cands
                 cands ^= low
                 u = low.bit_length() - 1
-                nxt = qr & row_q[u] & row_r[u]
-                if depth == n:
-                    # u, the one unplaced vertex, is in close; the windows
-                    # (q, r, u, 0) and (r, u, 0, v1) are left to check
-                    if nxt & (row_r[u] >> v1) & (row_r[0] >> v1) & 1:
-                        order.append(u)
-                        return True
-                    continue
                 used_u = used | low
-                nxt &= ~used_u
+                nxt = qr & row_q[u] & row_r[u] & ~used_u
                 alive_u = alive & keep[u]
-                if nxt and alive_u:
+                if (
+                    nxt
+                    and alive_u
+                    and (used_u, q, r, u) not in failed
+                    and rec(used_u, q, r, u, nxt, depth, alive_u)
+                ):
                     order.append(u)
-                    if rec(used_u, q, r, u, nxt, depth, alive_u):
-                        return True
-                    order.pop()
+                    return True
             if len(failed) < FAILED_MEMO_CAP:
-                failed.add(key)
+                failed.add((used, p, q, r))
             return False
 
         try:
             if rec(head, 0, v1, v2, k4_head & ~head, 3, alive):
-                return (0, v1, v2) + tuple(order)
+                return (0, v1, v2) + tuple(reversed(order))
             return None
         finally:
             # rec refers to itself, so without this the memo would outlive
@@ -440,18 +474,22 @@ def oracle_has_perfect_k4_tiling(
 ) -> OracleResult:
     """Exact-cover backtracking over tetrahedra, branching on the lowest
     uncovered vertex; failed residual vertex sets are memoized.  A search
-    deeper than the recursion limit raises ValueError."""
+    deeper than the recursion limit raises ValueError, and a time limit
+    that is NaN or negative raises ValueError before any search."""
+    deadline = _Deadline(time_limit)
     n = h.n
     if n % 4 != 0 or n == 0:
         return OracleResult("no")
     pn = h._pn
-    deadline = _Deadline(time_limit)
     failed: set[int] = set()
     chosen: list[tuple[int, int, int, int]] = []
+    ticks = 0
 
     def rec(avail: int) -> bool:
-        if deadline.expired():
-            raise _Timeout
+        nonlocal ticks
+        ticks += 1
+        if not ticks % CLOCK_EVERY:
+            deadline.check()
         if not avail:
             return True
         if avail in failed:
@@ -505,6 +543,7 @@ def threshold_probe(
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    _check_time_limit(time_limit)
     rows = []
     for gi, fraction in enumerate(grid):
         for trial in range(trials):

@@ -9,6 +9,7 @@ from hypersquare import (
     dense_instance,
     format_hypergraph,
     parse_hypergraph,
+    pikhurko,
 )
 from hypersquare.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, entry, main
 from conftest import recursion_headroom
@@ -169,6 +170,31 @@ class TestOracleCommand:
         assert err.startswith("error: n=40 is too large for the exact oracle")
 
 
+    @pytest.mark.parametrize("kind", ["cycle", "tiling"])
+    @pytest.mark.parametrize("limit", ["nan", "-1"])
+    def test_bad_time_limit_is_an_error(self, capsys, monkeypatch, kind, limit):
+        # a NaN limit used to switch the deadline off and a negative one to
+        # time out at once; both are refused before any search
+        text = format_hypergraph(pikhurko(20)[0])
+        argv = ["oracle", kind, "--time-limit", limit]
+        code, out, err = run_cli(capsys, monkeypatch, argv, stdin_text=text)
+        assert code == EXIT_USAGE
+        assert out == ""
+        message = f"time limit must be a nonnegative number of seconds, got {float(limit)!r}"
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "n, limit, status, code", [(20, "0", "timeout", EXIT_FAILURE), (16, "inf", "no", EXIT_OK)]
+    )
+    def test_time_limit_outcomes(self, capsys, monkeypatch, n, limit, status, code):
+        # refuting pikhurko(20) visits far more states than lie between two
+        # clock reads
+        argv = ["oracle", "cycle", "--time-limit", limit]
+        text = format_hypergraph(pikhurko(n)[0])
+        got, out, _ = run_cli(capsys, monkeypatch, argv, stdin_text=text)
+        assert (got, out.strip()) == (code, status)
+
+
 class TestConstructCommand:
     def test_success_json(self, capsys, monkeypatch):
         text = format_hypergraph(complete(24))
@@ -204,6 +230,13 @@ class TestConstructCommand:
 
 
 class TestProbeCommand:
+    def test_nan_time_limit_is_an_error(self, capsys, monkeypatch):
+        argv = ["probe", "--n", "8", "--grid", "0.8", "--trials", "1", "--seed", "1"]
+        code, out, err = run_cli(capsys, monkeypatch, argv + ["--time-limit", "nan"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: time limit must be a nonnegative number of seconds")
+
     def test_csv_shape(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys,

@@ -246,7 +246,10 @@ COVER = {
 
 # Instances for the oracle digests: ("dense_instance", n, fraction, seed) or
 # ("pikhurko", n).  sha256 of (status, witness) of the exact oracle with no
-# time limit; a cycle witness is hashed as its vertex tuple.
+# time limit; a cycle witness is hashed as its vertex tuple.  The cycle cells
+# at seeds 145, 295 (n = 16) and 6, 129 (n = 18) are the slowest yes and no
+# rows of perfbench/oracle_seeds.json; their digests were computed from the
+# cycle oracle whose closing tails had four vertices.
 ORACLE_CYCLE = {
     ('dense_instance', 7, 0.4, 0): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
     ('dense_instance', 7, 0.5, 0): '36083714d26578a8f7938cabc6e2947e18d3d7dcafe3cd7b4d601dace7d0d6c9',
@@ -297,6 +300,8 @@ ORACLE_CYCLE = {
     ('dense_instance', 16, 0.5, 1): '3aec1fc4088ca6fde65b6b84c6dbab6550f855125bf97b96ecbef26b0ec461d3',
     ('dense_instance', 16, 0.5, 2): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
     ('dense_instance', 16, 0.5, 3): '7517069decbfe4c0b55bd8a351397aa646fcca74dbaed028e2d915dee3d9b64b',
+    ('dense_instance', 16, 0.5, 145): 'd134fc81febc317579d1f309a2da727d579596a292546d4724af75b0589fa9fc',
+    ('dense_instance', 16, 0.5, 295): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
     ('dense_instance', 16, 0.6, 0): '0119dd14c14c57970a54b74791d65aba5610b6d310e26625166047ef79f68e3a',
     ('dense_instance', 16, 0.6, 1): '0c239d93468dc749fd33d1d3f9624ec2f422b99343fc6d9df8b48e5d0204db31',
     ('dense_instance', 16, 0.6, 2): '09d1240d23df920ade1d5a206b4f4f46c6bc2f16b3840f5e2cc9256b32432706',
@@ -308,6 +313,8 @@ ORACLE_CYCLE = {
     ('dense_instance', 18, 0.5, 0): '91766e7faaa708dfb9ef794310c50a6df55f5042eeb15535675b5a9e50de7b59',
     ('dense_instance', 18, 0.5, 1): 'f89565a728b932637abdee5bdcaec9941e98f54d47fa2ab47444203c4ead9a23',
     ('dense_instance', 18, 0.5, 2): '1d245ccaf378603e74786bef65af00be1618ba3f958a0a4c645b4736895b832b',
+    ('dense_instance', 18, 0.5, 6): 'cebce6b1a534fa0bc5bd735ce78494ac5ba8624380442d84675e20095c0be04e',
+    ('dense_instance', 18, 0.5, 129): 'c7832a60eede21b4cbd91232395df37ea47456910872b0a26b1b765f40e7127e',
     ('pikhurko', 8): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
     ('pikhurko', 12): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',
     ('pikhurko', 16): '50516befda8c0f6be9f4148ccd6f83972083c9b921db38ccd31b986fa2a3a7b0',

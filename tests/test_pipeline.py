@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -214,7 +215,7 @@ class TestCycleOracle:
     @pytest.mark.parametrize("n", range(5, 13))
     def test_closing_tails_match_reference(self, n, monkeypatch):
         # dense instances cross the closing-pair cap in both directions and
-        # n = 5, 6, 7 straddles the size where the tail first fits off the
+        # n = 7, 8 straddles the size where the tail first fits off the
         # head; sparse random ones have few tails, and some heads none
         closing_tails = pipeline._closing_tails
         listed = []  # per listed head: its number of tails, None over the cap
@@ -235,14 +236,63 @@ class TestCycleOracle:
             res = oracle_has_squared_hamiltonian(h, time_limit=None)
             witness = res.witness.vertices if res.witness is not None else None
             assert (res.status, witness) == reference_cycle_oracle(h)
-        # tails are listed from n = 7, some heads have none and, from n = 9,
+        # tails are listed from n = 8, some heads have none and, from n = 9,
         # some have more closing pairs than the cap
-        if n < 7:
+        if n < 8:
             assert not listed
         else:
             assert 0 in listed and any(listed)
         if n >= 9:
             assert None in listed
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_closing_tails_match_brute_force(self, n):
+        # the tails of each head, built from is_k4 alone: v w x y z distinct
+        # and off the head, z closing it and y z 0 v1, x y z 0, w x y z and
+        # v w x y tetrahedra; their number and, per vertex, the number
+        # avoiding it must agree, and so must the heads over the pair cap
+        listed = over = 0
+        for h in [dense_instance(n, f, seed) for f in (0.4, 0.7) for seed in range(2)]:
+            pn = h._pn
+            for v1 in range(1, n):
+                for v2 in bits_of(pn[0][v1] & ~0b1 & ~(1 << v1)):
+                    head = 1 | (1 << v1) | (1 << v2)
+                    close = pn[0][v1] & pn[0][v2] & pn[v1][v2] & ~((2 << v1) - 1)
+                    got = pipeline._closing_tails(pn, v1, head, close, pipeline._Members())
+                    rest = [u for u in range(n) if not head >> u & 1]
+                    pairs = [
+                        (y, z) for z in bits_of(close) for y in rest if is_k4(h, y, z, 0, v1)
+                    ]
+                    if len(pairs) > pipeline.CLOSING_PAIR_CAP:
+                        assert got is None
+                        over += 1
+                        continue
+                    tails = [
+                        (v, w, x, y, z)
+                        for y, z in pairs
+                        for x in rest
+                        if is_k4(h, x, y, z, 0)
+                        for w in rest
+                        if is_k4(h, w, x, y, z)
+                        for v in rest
+                        if v != z and is_k4(h, v, w, x, y)
+                    ]
+                    every, keep = got
+                    assert every.bit_count() == len(tails)
+                    assert [k.bit_count() for k in keep] == [
+                        sum(u not in t for t in tails) for u in range(n)
+                    ]
+                    listed += bool(tails)
+        # from n = 10 some dense heads have more closing pairs than the cap
+        assert listed and (over or n < 10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(8, 11), st.floats(0.4, 0.8), st.integers(0, 2**63 - 1))
+    def test_five_vertex_tails_keep_the_reference_answer(self, n, fraction, seed):
+        h = dense_instance(n, fraction, seed)
+        res = oracle_has_squared_hamiltonian(h, time_limit=None)
+        witness = res.witness.vertices if res.witness is not None else None
+        assert (res.status, witness) == reference_cycle_oracle(h)
 
     def test_planted_cycle_found(self):
         # the square of a relabelled Hamiltonian cycle, plus a few random
@@ -282,7 +332,7 @@ class TestCycleOracle:
         res = oracle_has_squared_hamiltonian(complete(14), time_limit=0.0)
         assert res.status in ("timeout", "yes")  # precheck may answer instantly
         # pikhurko(20) has no such cycle, and refuting it visits about
-        # 530,000 search states, far past the deadline's first clock read
+        # 435,000 search states, far past the deadline's first clock read
         res2 = oracle_has_squared_hamiltonian(pikhurko(20)[0], time_limit=0.0)
         assert res2.status == "timeout"
 
@@ -345,6 +395,42 @@ class TestTilingOracle:
             a = oracle_has_perfect_k4_tiling(h, 30).status
             b = oracle_has_perfect_k4_tiling(relabel(h, perm), 30).status
             assert a == b
+
+
+class TestOracleDeadline:
+    ORACLES = [oracle_has_squared_hamiltonian, oracle_has_perfect_k4_tiling]
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0, -math.inf])
+    def test_bad_limit_rejected_before_any_search(self, oracle, limit, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(pipeline, "_k4_adjacency", no_search)
+        # complete(10) has no perfect tetrahedron tiling by its size alone
+        with pytest.raises(ValueError, match=rf"time limit .* got {limit!r}$"):
+            oracle(complete(10), time_limit=limit)
+
+    @pytest.mark.parametrize("limit", [None, math.inf])
+    def test_none_and_inf_mean_no_limit(self, limit, monkeypatch):
+        monkeypatch.setattr(pipeline, "CLOCK_EVERY", 1)
+        assert oracle_has_squared_hamiltonian(pikhurko(16)[0], limit).status == "no"
+        assert oracle_has_perfect_k4_tiling(pikhurko(12)[0], limit).status == "no"
+
+    @pytest.mark.parametrize(
+        "oracle, h", [(oracle_has_squared_hamiltonian, 16), (oracle_has_perfect_k4_tiling, 12)]
+    )
+    def test_clock_read_once_per_clock_every_states(self, oracle, h, monkeypatch):
+        h = pikhurko(h)[0]
+        monkeypatch.setattr(pipeline, "CLOCK_EVERY", 1)
+        assert oracle(h, time_limit=0.0).status == "timeout"
+        # a search of fewer states than CLOCK_EVERY never reads the clock
+        monkeypatch.setattr(pipeline, "CLOCK_EVERY", 10**9)
+        assert oracle(h, time_limit=0.0).status == "no"
+
+    def test_probe_rejects_a_nan_limit(self):
+        with pytest.raises(ValueError, match="got nan"):
+            threshold_probe(8, [0.8], 1, seed=1, time_limit=float("nan"))
 
 
 class TestOracleDepth:
